@@ -8,8 +8,9 @@ Two certificate families, both exact:
       alpha(P) r(V) >= [1 - alpha(P)] r_K,
     with alpha(P) = (max over edges of blocks intersected - 1) / (|P| - 1).
 
-Every certificate stores its inequality in the >=-normal form
-row_rk * r_K + sum_i row_i * r_i >= rhs, reproducible from (kind, B, P).
+A certificate stores only what defines it, (kind, B, P, data), with data
+(|P| - 1, I_P(Z_B)) or (alpha,), and derives its inequality in the >=-normal
+form row_rk * r_K + sum_i row_i * r_i >= rhs from that.
 The aggregated outer region is everything the enumerated certificates allow;
 it is an upper bound on the achievable region, exact for tree PINs and for
 the PIN capacity curve.
@@ -33,6 +34,7 @@ from .source import (
     Partition,
     RatePoint,
     enumerate_partitions,
+    is_spanning_tree,
     weight_function,
 )
 
@@ -44,20 +46,39 @@ VIOLATED = "violated"
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """One converse inequality with enough data to rebuild it from scratch."""
+    """One converse inequality, stored as the data that defines it.
+
+    thm1: -k r_K + r(V \\ B) >= -k I_P(Z_B), with data (k, I_P) and k = |P| - 1
+    thm3: (alpha - 1) r_K + alpha r(V) >= 0, with data (alpha,)
+    """
 
     kind: str  # "thm1" | "thm3"
     B: frozenset[str] | None  # thm1 only
     P: Partition
     data: tuple[Fraction, ...]  # thm1: (|P|-1, I_P(Z_B)); thm3: (alpha,)
-    row_rk: Fraction
-    row: dict[str, Fraction]
-    rhs: Fraction
+    vertices: tuple[str, ...]  # the source's vertices, in canonical order
+
+    @property
+    def row_rk(self) -> Fraction:
+        return -self.data[0] if self.kind == "thm1" else self.data[0] - 1
+
+    @property
+    def row(self) -> dict[str, Fraction]:
+        """Coefficient of each r_v, in vertex order."""
+        if self.kind == "thm1":
+            return {v: Fraction(int(v not in self.B)) for v in self.vertices}
+        return {v: self.data[0] for v in self.vertices}
+
+    @property
+    def rhs(self) -> Fraction:
+        return -self.data[0] * self.data[1] if self.kind == "thm1" else Fraction(0)
 
     def evaluate(self, point: RatePoint) -> Fraction:
-        return self.row_rk * point.r_K + sum(
-            (c * point.r[v] for v, c in self.row.items()), Fraction(0)
-        )
+        if self.kind == "thm1":
+            outside = (v for v in self.vertices if v not in self.B)
+            return point.total(outside) - self.data[0] * point.r_K
+        a = self.data[0]
+        return (a - 1) * point.r_K + a * point.total(self.vertices)
 
     def violated_by(self, point: RatePoint) -> bool:
         return self.evaluate(point) < self.rhs
@@ -100,18 +121,12 @@ def partition_certificate(
     B = source.check_subset(B)
     if len(B) < 2:
         raise DomainError("partition bound needs |B| >= 2")
-    k = Fraction(len(P) - 1)
     info = partition_info(source, B, P, oracle)
-    row = {v: Fraction(int(v not in B)) for v in source.vertices}
-    return BoundCertificate(
-        "thm1", B, P, (k, info), -k, row, -k * info
-    )
+    return BoundCertificate("thm1", B, P, (Fraction(len(P) - 1), info), source.vertices)
 
 
 def weight_certificate(source: HypergraphSource, P: Partition) -> BoundCertificate:
-    a = alpha(source, P)
-    row = {v: a for v in source.vertices}
-    return BoundCertificate("thm3", None, P, (a,), -(1 - a), row, Fraction(0))
+    return BoundCertificate("thm3", None, P, (alpha(source, P),), source.vertices)
 
 
 def thm1_bound(
@@ -171,26 +186,9 @@ def tree_pin_region(source: HypergraphSource) -> TreePinRegion:
     support = c.support
     deg = source.support_degrees()
     edges = [tuple(sorted(B)) for B in support]
-    if len(edges) != source.m - 1 or not _connected(source.vertices, edges):
+    if len(edges) != source.m - 1 or not is_spanning_tree(source.vertices, edges):
         raise DomainError("supp(c) is not a spanning tree")
     return TreePinRegion(min(c(B) for B in support), deg)
-
-
-def _connected(vertices, pairs) -> bool:
-    if not pairs:
-        return len(vertices) <= 1
-    adj = {v: set() for v in vertices}
-    for a, b in pairs:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        for u in adj[stack.pop()]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return len(seen) == len(vertices)
 
 
 def tree_pin_check(source: HypergraphSource, point: RatePoint) -> bool:
@@ -231,21 +229,24 @@ def generate_certificates(
 ) -> Iterator[BoundCertificate]:
     """Every thm1 certificate (B by size then lex, P in RGS order), then thm3."""
     _check_cap(source, max_vertices)
-    yield from _certificate_list(source, max_vertices)
+    yield from _certificate_list(source)
 
 
-@lru_cache(maxsize=32)
-def _certificate_list(source: HypergraphSource, max_vertices: int):
+def _certificates(source: HypergraphSource) -> Iterator[BoundCertificate]:
+    """The one enumeration of (B, P) pairs, in generate_certificates order."""
     oracle = EntropyOracle(source)
-    certs = []
     for size in range(2, source.m + 1):
         for combo in combinations(source.vertices, size):
             B = frozenset(combo)
             for P in enumerate_partitions(B):
-                certs.append(partition_certificate(source, B, P, oracle))
+                yield partition_certificate(source, B, P, oracle)
     for P in enumerate_partitions(source.vertices):
-        certs.append(weight_certificate(source, P))
-    return tuple(certs)
+        yield weight_certificate(source, P)
+
+
+@lru_cache(maxsize=32)
+def _certificate_list(source: HypergraphSource) -> tuple[BoundCertificate, ...]:
+    return tuple(_certificates(source))
 
 
 def outer_check(
@@ -262,48 +263,41 @@ def outer_check(
     return OuterRegionQuery(point, VIOLATED if violations else FEASIBLE, violations)
 
 
+def _lp_row(cert: BoundCertificate, scale: Fraction = Fraction(1)):
+    coefficients = (cert.row_rk, *cert.row.values())
+    return (tuple(c / scale for c in coefficients), ">=", cert.rhs / scale)
+
+
 @lru_cache(maxsize=128)
-def _lp_rows(source: HypergraphSource, max_vertices: int):
+def _lp_rows(source: HypergraphSource):
     """Non-vacuous certificate rows with dominated rows removed.
 
     Kept rows imply every dropped one over the nonnegative orthant, so LPs
     constrained by them have the same feasible set as with the full list:
-    for fixed (B, |P|) only the smallest I_P binds; weight rows
-    r(V) >= beta r_K are implied by the largest beta.
+    for fixed (B, |P|) only the smallest I_P binds; weight rows, divided by
+    alpha to r(V) >= beta r_K with beta = (1 - alpha) / alpha, are implied by
+    the smallest alpha in (0, 1); alpha = 0 leaves -r_K >= 0; alpha = 1 is
+    vacuous. Reads the uncached generator: going through the cached list
+    would keep every certificate alive for the LP path too.
     """
-    best_info: dict[tuple[frozenset, int], Fraction] = {}
-    best_beta = None
-    rk_nonpositive = False
-    oracle = EntropyOracle(source)
-    for size in range(2, source.m + 1):
-        for combo in combinations(source.vertices, size):
-            B = frozenset(combo)
-            for P in enumerate_partitions(B):
-                info = partition_info(source, B, P, oracle)
-                key = (B, len(P))
-                if key not in best_info or info < best_info[key]:
-                    best_info[key] = info
-    for P in enumerate_partitions(source.vertices):
-        a = alpha(source, P)
-        if a == 0:
-            rk_nonpositive = True
-        elif a < 1:
-            beta = (1 - a) / a
-            if best_beta is None or beta > best_beta:
-                best_beta = beta
-    rows = []
-    for (B, nblocks), info in sorted(
-        best_info.items(), key=lambda kv: (len(kv[0][0]), sorted(kv[0][0]), kv[0][1])
-    ):
-        k = Fraction(nblocks - 1)
-        row = [-k] + [Fraction(int(v not in B)) for v in source.vertices]
-        rows.append((tuple(row), ">=", -k * info))
-    if best_beta is not None:
-        row = [-best_beta] + [Fraction(1)] * source.m
-        rows.append((tuple(row), ">=", Fraction(0)))
-    if rk_nonpositive:
-        row = [Fraction(-1)] + [Fraction(0)] * source.m
-        rows.append((tuple(row), ">=", Fraction(0)))
+    best: dict[tuple[frozenset, Fraction], BoundCertificate] = {}
+    weight = None  # smallest alpha in (0, 1)
+    disconnected = None  # alpha = 0
+    for cert in _certificates(source):
+        if cert.kind == "thm1":
+            key = (cert.B, cert.data[0])
+            if key not in best or cert.data[1] < best[key].data[1]:
+                best[key] = cert
+        elif cert.data[0] == 0:
+            disconnected = cert
+        elif cert.data[0] < 1 and (weight is None or cert.data[0] < weight.data[0]):
+            weight = cert
+    ordered = sorted(best.values(), key=lambda c: (len(c.B), sorted(c.B), c.data[0]))
+    rows = [_lp_row(cert) for cert in ordered]
+    if weight is not None:
+        rows.append(_lp_row(weight, weight.data[0]))
+    if disconnected is not None:
+        rows.append(_lp_row(disconnected))
     return tuple(rows)
 
 
@@ -315,7 +309,7 @@ def outer_capacity_curve(
     R = Fraction(R)
     if R < 0:
         raise DomainError("discussion budget must be nonnegative")
-    rows = _lp_rows(source, max_vertices)
+    rows = _lp_rows(source)
     budget = (tuple([Fraction(0)] + [Fraction(1)] * source.m), "<=", R)
     objective = [Fraction(1)] + [Fraction(0)] * source.m
     lp = LinearProgram.of(objective, "max", list(rows) + [budget])
@@ -336,7 +330,7 @@ def outer_min_rate(
     _check_cap(source, max_vertices)
     r_K = Fraction(r_K)
     rows = []
-    for row, rel, rhs in _lp_rows(source, max_vertices):
+    for row, rel, rhs in _lp_rows(source):
         rows.append((row[1:], rel, rhs - row[0] * r_K))
     objective = [Fraction(1)] * source.m
     lp = LinearProgram.of(objective, "min", rows)

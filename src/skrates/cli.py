@@ -60,10 +60,6 @@ def _parse_set(source: HypergraphSource, raw: str | None) -> frozenset[str]:
     return source.check_subset(items)
 
 
-def _partition_lists(P) -> list[list[str]]:
-    return P.to_lists()
-
-
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
@@ -87,13 +83,13 @@ def cmd_entropy(args) -> int:
 def cmd_mmi(args) -> int:
     source = read_source(args.source)
     B = _parse_set(source, args.set)
-    result = mmi(source, B, threads=args.threads)
+    result = mmi(source, B)
     _emit(
         {
             "set": sorted(B),
             "value": format_rational(result.value),
-            "fundamental": _partition_lists(result.fundamental),
-            "optimal_partitions": [_partition_lists(P) for P in result.optimal_partitions],
+            "fundamental": result.fundamental.to_lists(),
+            "optimal_partitions": [P.to_lists() for P in result.optimal_partitions],
         }
     )
     return 0
@@ -106,7 +102,7 @@ def _capacity_dict(report: CapacityReport) -> dict:
         "R_CO_point": {v: format_rational(q) for v, q in sorted(report.R_CO_point.items())},
         "C_S": format_rational(report.C_S),
         "mmi_crosscheck": format_rational(report.mmi_crosscheck),
-        "fundamental": _partition_lists(report.fundamental),
+        "fundamental": report.fundamental.to_lists(),
     }
 
 
@@ -295,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("mmi", cmd_mmi, help="multivariate mutual information and optimal partitions")
     p.add_argument("--source", required=True)
     p.add_argument("--set", help="comma-separated vertex ids (default: all)")
-    p.add_argument("--threads", type=int, default=1)
 
     p = add("capacity", cmd_capacity, help="omniscience rate and secrecy capacity")
     p.add_argument("--source", required=True)
@@ -325,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--simulate", action="store_true")
     p.add_argument("--n", type=int)
-    p.add_argument("--threads", type=int, default=1)
 
     return parser
 

@@ -8,7 +8,6 @@ it, and return the iterated meet as the unique finest optimizer.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -51,7 +50,7 @@ def conditional_partition_info(
     return partition_info(source.without_vertices(W), B, P)
 
 
-def mmi(source: HypergraphSource, B: Iterable[str], threads: int = 1) -> MmiResult:
+def mmi(source: HypergraphSource, B: Iterable[str]) -> MmiResult:
     """Minimize I_P over all partitions of B; collect ties; verify the lattice.
 
     The fundamental partition is the meet of all optimizers; a meet that
@@ -63,11 +62,7 @@ def mmi(source: HypergraphSource, B: Iterable[str], threads: int = 1) -> MmiResu
         raise DomainError("MMI needs |B| >= 2")
     oracle = EntropyOracle(source)
     partitions = list(enumerate_partitions(B))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            scores = list(pool.map(lambda P: partition_info(source, B, P, oracle), partitions))
-    else:
-        scores = [partition_info(source, B, P, oracle) for P in partitions]
+    scores = [partition_info(source, B, P, oracle) for P in partitions]
 
     best = min(scores)
     optimal = tuple(P for P, s in zip(partitions, scores) if s == best)

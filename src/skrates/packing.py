@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import ConsistencyError, DomainError
 from .lp import OPTIMAL, LinearProgram, solve
-from .source import HypergraphSource, RatePoint, weight_function
+from .source import HypergraphSource, RatePoint, is_spanning_tree, weight_function
 
 VERTEX_CAP = 10
 TREE_CAP = 10**5
@@ -33,25 +33,6 @@ def _pair(edge_on: frozenset[str]) -> Pair:
 def _require_pin(source: HypergraphSource):
     if not source.is_pin():
         raise DomainError("tree packing is defined for PIN sources only")
-
-
-def _spans(vertices: Sequence[str], pairs: Iterable[Pair]) -> bool:
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    joined = 0
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False  # cycle
-        parent[ra] = rb
-        joined += 1
-    return joined == len(vertices) - 1
 
 
 def count_spanning_trees(vertices: Sequence[str], pair_weights: dict[Pair, int]) -> int:
@@ -97,7 +78,7 @@ def _class_trees(source: HypergraphSource) -> list[tuple[Pair, ...]]:
     return [
         combo
         for combo in combinations(pairs, source.m - 1)
-        if _spans(source.vertices, combo)
+        if is_spanning_tree(source.vertices, combo)
     ]
 
 
@@ -143,7 +124,7 @@ class TreePacking:
                 pairs = [_pair(edge_on[i]) for i in ids]
             except KeyError as exc:
                 raise DomainError(f"unknown edge id {exc.args[0]!r}") from None
-            if len(pairs) != self.source.m - 1 or not _spans(self.source.vertices, pairs):
+            if len(pairs) != self.source.m - 1 or not is_spanning_tree(self.source.vertices, pairs):
                 raise DomainError(f"edges {ids} do not form a spanning tree")
 
     @property
@@ -227,7 +208,7 @@ def verify_packing(source: HypergraphSource, packing: TreePacking) -> PackingChe
     c = weight_function(source)
     load: dict[Pair, Fraction] = {}
     for pairs, eta in packing.tree_pairs():
-        if len(pairs) != source.m - 1 or not _spans(source.vertices, pairs):
+        if len(pairs) != source.m - 1 or not is_spanning_tree(source.vertices, pairs):
             raise DomainError("packing contains a non-spanning tree")
         for p in pairs:
             load[p] = load.get(p, Fraction(0)) + eta

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DomainError, SourceFormatError
 from .rationals import format_rational, parse_rational
@@ -155,6 +155,26 @@ def is_pin(source: HypergraphSource) -> bool:
 def vertex_degrees(source: HypergraphSource, support_only: bool = False) -> dict[str, int]:
     """PIN vertex degrees: multigraph by default, supp(c) graph if requested."""
     return source.support_degrees() if support_only else source.multigraph_degrees()
+
+
+def is_spanning_tree(vertices: Sequence[str], pairs: Iterable[tuple[str, str]]) -> bool:
+    """Union-find: the pairs join every vertex and close no cycle."""
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    joined = 0
+    for a, b in pairs:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            return False  # cycle
+        parent[ra] = rb
+        joined += 1
+    return joined == len(vertices) - 1
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_connected_pin, random_tree_pin
+from oracles import random_connected_pin, random_hypergraph, random_tree_pin
 from skrates.bounds import (
     FEASIBLE,
     VIOLATED,
@@ -26,6 +26,7 @@ from skrates.bounds import (
 )
 from skrates.capacity import capacity
 from skrates.errors import DomainError
+from skrates.lp import INFEASIBLE, OPTIMAL, LinearProgram, solve
 from skrates.mmi import mmi, partition_info
 from skrates.source import HypergraphSource, Partition, RatePoint, singletons
 
@@ -214,6 +215,70 @@ class TestCertificates:
         sizes = [len(c.B) for c in thm1]
         assert sizes == sorted(sizes)
         assert certs.index(thm1[-1]) < certs.index([c for c in certs if c.kind == "thm3"][0])
+
+
+def _random_sources(seed):
+    """One hypergraph and one PIN with m = 3-6 from a fixed seed."""
+    rng = random.Random(seed)
+    return [random_hypergraph(rng, rng.randint(3, 6)), random_connected_pin(rng, rng.randint(3, 6))]
+
+
+def _random_point(rng, vertices):
+    def q():
+        return Fraction(rng.randint(0, 8), rng.choice([1, 2, 3]))
+
+    return RatePoint(q(), {v: q() for v in vertices})
+
+
+class TestDerivedForm:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_evaluate_matches_derived_row(self, seed):
+        rng = random.Random(7000 + seed)
+        for src in _random_sources(7000 + seed):
+            points = [_random_point(rng, src.vertices) for _ in range(3)]
+            for cert in generate_certificates(src):
+                row_rk, row, rhs = cert.row_rk, cert.row, cert.rhs
+                for point in points:
+                    value = row_rk * point.r_K + sum(row[v] * point.r[v] for v in src.vertices)
+                    assert cert.evaluate(point) == value
+                    assert cert.violated_by(point) == (value < rhs)
+
+
+class TestPruningKeepsFeasibleSet:
+    """The pruned LP rows give the same optima as every non-vacuous certificate."""
+
+    @staticmethod
+    def _full_rows(src):
+        return [
+            ((c.row_rk, *(c.row[v] for v in src.vertices)), ">=", c.rhs)
+            for c in generate_certificates(src)
+            if not c.vacuous
+        ]
+
+    # Seeds whose hypergraphs have weight rows with 0 < alpha < 1 (two also have
+    # alpha = 0) and m <= 5: unpruned, an m = 6 source has about a thousand rows
+    # and each exact LP over them takes several seconds.
+    @pytest.mark.parametrize("seed", (8020, 8041, 8052))
+    def test_outer_curve_and_min_rate(self, seed):
+        for src in _random_sources(seed):
+            rows = self._full_rows(src)
+            m = src.m
+            for R in (0, Fraction(1, 2), 2, 50):
+                budget = ((Fraction(0),) + (Fraction(1),) * m, "<=", Fraction(R))
+                lp = LinearProgram.of([1] + [0] * m, "max", rows + [budget])
+                sol = solve(lp, lex=False)
+                assert sol.status == OPTIMAL
+                assert outer_capacity_curve(src, R) == sol.value
+            ceiling = outer_capacity_curve(src, 10**6)
+            for r_K in (0, ceiling / 2, ceiling, ceiling + Fraction(1, 7)):
+                fixed = [(row[1:], rel, rhs - row[0] * r_K) for row, rel, rhs in rows]
+                sol = solve(LinearProgram.of([1] * m, "min", fixed), lex=False)
+                if sol.status == INFEASIBLE:
+                    with pytest.raises(DomainError):
+                        outer_min_rate(src, r_K)
+                else:
+                    assert sol.status == OPTIMAL
+                    assert outer_min_rate(src, r_K) == sol.value
 
 
 class TestOuterCurve:

@@ -182,12 +182,6 @@ def test_max_vertices_env(capsys, monkeypatch):
     assert code == 1 and "capped" in err
 
 
-def test_threads_flag_same_output(capsys, triangle_path):
-    _, out1, _ = run_cli(capsys, "mmi", "--source", triangle_path)
-    _, out4, _ = run_cli(capsys, "mmi", "--source", triangle_path, "--threads", "4")
-    assert out1 == out4
-
-
 def test_analyze_triangle_matches_worked_values(capsys):
     code, out, _ = run_cli(capsys, "analyze", "--source", "triangle")
     payload = json.loads(out)

@@ -70,10 +70,6 @@ def test_bivariate_reduces_to_shannon(motivating, triangle, six_user_hyper):
             assert mmi(src, [i, j]).value == expected
 
 
-def test_threads_do_not_change_result(triangle):
-    assert mmi(triangle, triangle.vertices, threads=4) == mmi(triangle, triangle.vertices)
-
-
 @pytest.mark.parametrize("seed", range(8))
 def test_optimal_set_lattice_closure(seed):
     rng = random.Random(seed)
