@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .capacity import capacity
 from .entropy import EntropyOracle
@@ -197,15 +197,20 @@ def tree_pin_check(source: HypergraphSource, point: RatePoint) -> bool:
 
 def pin_capacity_curve(source: HypergraphSource, R: Fraction) -> Fraction:
     """Exact C_S(R) for a PIN with at least 3 users: min{R/(m-2), C_S}."""
+    return pin_curve_column(source, [R])[0]
+
+
+def pin_curve_column(source: HypergraphSource, grid: Sequence[Fraction]) -> list[Fraction]:
+    """pin_capacity_curve at every R of the grid, reading C_S once."""
     if not source.is_pin():
         raise DomainError("not a PIN")
     if source.m < 3:
         raise DomainError("the PIN capacity curve needs at least 3 users")
-    R = Fraction(R)
-    if R < 0:
+    grid = [Fraction(R) for R in grid]
+    if any(R < 0 for R in grid):
         raise DomainError("discussion budget must be nonnegative")
     C_S = capacity(source).C_S
-    return min(R / (source.m - 2), C_S)
+    return [min(R / (source.m - 2), C_S) for R in grid]
 
 
 def pin_communication_complexity(source: HypergraphSource) -> Fraction:
@@ -276,28 +281,25 @@ def _lp_rows(source: HypergraphSource):
     constrained by them have the same feasible set as with the full list:
     for fixed (B, |P|) only the smallest I_P binds; weight rows, divided by
     alpha to r(V) >= beta r_K with beta = (1 - alpha) / alpha, are implied by
-    the smallest alpha in (0, 1); alpha = 0 leaves -r_K >= 0; alpha = 1 is
-    vacuous. Reads the uncached generator: going through the cached list
-    would keep every certificate alive for the LP path too.
+    the smallest alpha in (0, 1); alpha = 1 is vacuous. alpha = 0 gives
+    -r_K >= 0, which the kept thm1 row for B = V at the same partition (no
+    edge crosses its blocks, so I_P = 0) already implies. Reads the uncached
+    generator: going through the cached list would keep every certificate
+    alive for the LP path too.
     """
     best: dict[tuple[frozenset, Fraction], BoundCertificate] = {}
     weight = None  # smallest alpha in (0, 1)
-    disconnected = None  # alpha = 0
     for cert in _certificates(source):
         if cert.kind == "thm1":
             key = (cert.B, cert.data[0])
             if key not in best or cert.data[1] < best[key].data[1]:
                 best[key] = cert
-        elif cert.data[0] == 0:
-            disconnected = cert
-        elif cert.data[0] < 1 and (weight is None or cert.data[0] < weight.data[0]):
+        elif 0 < cert.data[0] < 1 and (weight is None or cert.data[0] < weight.data[0]):
             weight = cert
     ordered = sorted(best.values(), key=lambda c: (len(c.B), sorted(c.B), c.data[0]))
     rows = [_lp_row(cert) for cert in ordered]
     if weight is not None:
         rows.append(_lp_row(weight, weight.data[0]))
-    if disconnected is not None:
-        rows.append(_lp_row(disconnected))
     return tuple(rows)
 
 
@@ -317,6 +319,42 @@ def outer_capacity_curve(
     if sol.status != OPTIMAL:
         raise ConsistencyError(f"outer-curve LP came back {sol.status}")
     return sol.value
+
+
+def outer_curve_column(
+    source: HypergraphSource, grid: Sequence[Fraction], max_vertices: int = OUTER_MAX_VERTICES
+) -> list[Fraction]:
+    """outer_capacity_curve at every R of a strictly increasing grid, by chords.
+
+    The curve is concave in R (an LP value in its right-hand side), so when
+    the middle row of an interval lies on the chord between its ends the
+    curve is linear there and the rows inside are exact interpolations;
+    otherwise both halves are sampled the same way (Eisner and Severance,
+    1976).
+    """
+    values: list[Fraction | None] = [None] * len(grid)
+
+    def solve_at(i):
+        values[i] = outer_capacity_curve(source, grid[i], max_vertices)
+
+    def fill(lo, hi):
+        if hi - lo < 2:
+            return
+        mid = (lo + hi) // 2
+        solve_at(mid)
+        slope = (values[hi] - values[lo]) / (grid[hi] - grid[lo])
+        if values[mid] != values[lo] + slope * (grid[mid] - grid[lo]):
+            fill(lo, mid)
+            fill(mid, hi)
+            return
+        for i in range(lo + 1, hi):
+            values[i] = values[lo] + slope * (grid[i] - grid[lo])
+
+    if grid:
+        solve_at(0)
+        solve_at(len(grid) - 1)
+        fill(0, len(grid) - 1)
+    return values
 
 
 def outer_min_rate(

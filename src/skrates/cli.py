@@ -131,17 +131,16 @@ def cmd_bounds(args) -> int:
 def _curve_rows(source: HypergraphSource, r_max: Fraction, step: Fraction):
     if step <= 0 or r_max < 0:
         raise DomainError("need --step > 0 and --r-max >= 0")
-    cap_m = _max_vertices()
-    achievable = source.is_pin() and source.m >= 3
-    rows = []
+    grid = []
     R = Fraction(0)
     while R <= r_max:
-        row = [R, bnd.outer_capacity_curve(source, R, max_vertices=cap_m)]
-        if achievable:
-            row.append(bnd.pin_capacity_curve(source, R))
-        rows.append(row)
+        grid.append(R)
         R += step
-    return achievable, rows
+    columns = [grid, bnd.outer_curve_column(source, grid, max_vertices=_max_vertices())]
+    achievable = source.is_pin() and source.m >= 3
+    if achievable:
+        columns.append(bnd.pin_curve_column(source, grid))
+    return achievable, list(zip(*columns))
 
 
 def cmd_curve(args) -> int:

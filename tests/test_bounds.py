@@ -14,10 +14,12 @@ from skrates.bounds import (
     generate_certificates,
     outer_capacity_curve,
     outer_check,
+    outer_curve_column,
     outer_min_rate,
     partition_certificate,
     pin_capacity_curve,
     pin_communication_complexity,
+    pin_curve_column,
     thm1_bound,
     thm3_bound,
     tree_pin_check,
@@ -257,10 +259,21 @@ class TestPruningKeepsFeasibleSet:
 
     # Seeds whose hypergraphs have weight rows with 0 < alpha < 1 (two also have
     # alpha = 0) and m <= 5: unpruned, an m = 6 source has about a thousand rows
-    # and each exact LP over them takes several seconds.
-    @pytest.mark.parametrize("seed", (8020, 8041, 8052))
+    # and each exact LP over them takes several seconds. The disconnected source
+    # has alpha = 0, whose -r_K >= 0 row the pruned rows leave out.
+    @pytest.mark.parametrize("seed", (8020, 8041, 8052, "disconnected"))
     def test_outer_curve_and_min_rate(self, seed):
-        for src in _random_sources(seed):
+        if seed == "disconnected":
+            sources = [
+                HypergraphSource.of(
+                    ["1", "2", "3", "4"],
+                    [("a", ["1", "2"], 1), ("b", ["3", "4"], Fraction(3, 2)), ("c", ["4"], 1)],
+                )
+            ]
+            assert any(c.kind == "thm3" and c.data[0] == 0 for c in generate_certificates(sources[0]))
+        else:
+            sources = _random_sources(seed)
+        for src in sources:
             rows = self._full_rows(src)
             m = src.m
             for R in (0, Fraction(1, 2), 2, 50):
@@ -279,6 +292,35 @@ class TestPruningKeepsFeasibleSet:
                 else:
                     assert sol.status == OPTIMAL
                     assert outer_min_rate(src, r_K) == sol.value
+
+
+class TestCurveColumns:
+    """Chord-sampled columns equal the row-by-row values."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_outer_column_matches_row_by_row(self, seed):
+        rng = random.Random(8600 + seed)
+        m = rng.randint(3, 5)
+        src = random_hypergraph(rng, m) if seed % 2 else random_connected_pin(rng, m)
+        R_CO = capacity(src).R_CO
+        for rows in (1, 2, 7, 12):
+            # grids of two or more rows end past R_CO, where the curve has flattened
+            step = (R_CO + rng.randint(1, 3)) / max(rows - 1, 1)
+            grid = [k * step for k in range(rows)]
+            expected = [outer_capacity_curve(src, R) for R in grid]
+            assert outer_curve_column(src, grid) == expected
+        assert outer_curve_column(src, []) == []
+
+    def test_pin_column_reads_capacity_once(self, monkeypatch, triangle):
+        import skrates.bounds as bounds
+
+        calls = []
+        real = bounds.capacity
+        monkeypatch.setattr(bounds, "capacity", lambda s: calls.append(s) or real(s))
+        grid = [Fraction(k, 2) for k in range(8)]
+        assert pin_curve_column(triangle, grid) == [min(R, Fraction(3, 2)) for R in grid]
+        assert len(calls) == 1
+        assert all(type(c) is Fraction for c in pin_curve_column(triangle, [0, 1, 2]))
 
 
 class TestOuterCurve:

@@ -1,15 +1,21 @@
 """Omniscience LP, capacity report, concavity checker."""
 
+import importlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import lp_by_vertex_enumeration, random_hypergraph
-from skrates.capacity import capacity, check_concavity, rco
+from oracles import (
+    lp_by_vertex_enumeration,
+    random_connected_pin,
+    random_hypergraph,
+    random_tree_pin,
+)
+from skrates.capacity import RCO_MAX_VERTICES, capacity, check_concavity, rco
 from skrates.entropy import EntropyOracle, cond_entropy
-from skrates.errors import DomainError
-from skrates.mmi import mmi
+from skrates.errors import ConsistencyError, DomainError
+from skrates.mmi import MmiResult, mmi
 from skrates.source import HypergraphSource, Partition
 
 
@@ -69,6 +75,53 @@ def test_rco_identity_random(seed):
     value, _ = rco(src)
     oracle = EntropyOracle(src)
     assert value == oracle.entropy(src.vertices) - mmi(src, src.vertices).value
+
+
+def _greedy_sources():
+    for seed in range(18):
+        rng = random.Random(2100 + seed)
+        make = (random_hypergraph, random_connected_pin, random_tree_pin)[seed % 3]
+        yield make(rng, 2 + seed % 5)
+    # two components, one of them carrying a single-vertex edge
+    yield HypergraphSource.of(
+        ["a", "b", "c", "d"],
+        [("e1", ["a", "b"], 1), ("e2", ["c", "d"], Fraction(3, 2)), ("e3", ["d"], 2)],
+    )
+    yield HypergraphSource.of(
+        ["a", "b", "c"],
+        [("e1", ["a"], 2), ("e2", ["a", "b", "c"], 1), ("e3", ["b", "c"], Fraction(1, 3))],
+    )
+
+
+@pytest.mark.parametrize("src", list(_greedy_sources()), ids=lambda s: f"m{s.m}")
+def test_greedy_point_is_the_lex_smallest_lp_optimum(src):
+    value, point = rco(src)
+    rep = capacity(src)
+    assert rep.R_CO == value
+    assert rep.R_CO_point == point
+
+
+@pytest.mark.parametrize("shift", (Fraction(1, 2), Fraction(-1, 2)))
+def test_wrong_mmi_value_is_caught(monkeypatch, triangle, shift):
+    cap = importlib.import_module("skrates.capacity")  # the package re-exports capacity()
+
+    def wrong_mmi(source, B):
+        right = mmi(source, B)
+        return MmiResult(right.value + shift, right.optimal_partitions, right.fundamental)
+
+    monkeypatch.setattr(cap, "mmi", wrong_mmi)
+    with pytest.raises(ConsistencyError):
+        capacity(triangle)
+
+
+def test_capacity_cap_names_the_source_size():
+    m = RCO_MAX_VERTICES + 1
+    vertices = [f"v{i:02d}" for i in range(m)]
+    src = HypergraphSource.of(vertices, [("a", vertices[:2], 1)])
+    with pytest.raises(DomainError) as err:
+        capacity(src)
+    assert f"m = {m}" in str(err.value) and f"m <= {RCO_MAX_VERTICES}" in str(err.value)
+    assert "omniscience LP" not in str(err.value)
 
 
 def test_check_concavity_examples():
