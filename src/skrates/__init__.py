@@ -1,6 +1,5 @@
 """Exact-arithmetic secret-key rate toolkit for hypergraphical sources."""
 
-from ._kernel import BACKEND
 from .bounds import (
     BoundCertificate,
     OuterRegionQuery,
@@ -62,3 +61,6 @@ from .source import (
 )
 
 __version__ = "0.1.0"
+
+# The exhaustive histogram has one implementation, in pure Python.
+BACKEND = "python"

@@ -24,7 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .capacity import capacity
+from .capacity import _check_capacity_cap, capacity
 from .entropy import EntropyOracle
 from .errors import ConsistencyError, DomainError
 from .lp import INFEASIBLE, OPTIMAL, LinearProgram, solve
@@ -219,7 +219,8 @@ def pin_communication_complexity(source: HypergraphSource) -> Fraction:
         raise DomainError("not a PIN")
     if source.m < 3:
         raise DomainError("the PIN capacity curve needs at least 3 users")
-    return (source.m - 2) * capacity(source).C_S
+    _check_capacity_cap(source)
+    return (source.m - 2) * mmi(source, source.vertices).value
 
 
 def _check_cap(source: HypergraphSource, max_vertices: int):

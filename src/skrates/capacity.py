@@ -84,6 +84,13 @@ def _truncation(oracle: EntropyOracle, m: int, C_S: Fraction) -> list[Fraction]:
     return f
 
 
+def _check_capacity_cap(source: HypergraphSource):
+    if source.m > RCO_MAX_VERTICES:
+        raise DomainError(
+            f"capacity capped at m <= {RCO_MAX_VERTICES} vertices; this source has m = {source.m}"
+        )
+
+
 def capacity(source: HypergraphSource) -> CapacityReport:
     """Full capacity report from the MMI, with a certified greedy R_CO point.
 
@@ -91,11 +98,8 @@ def capacity(source: HypergraphSource) -> CapacityReport:
     omniscience LP with value H - C_S and the fundamental partition's dual
     bound meets it.
     """
+    _check_capacity_cap(source)
     m = source.m
-    if m > RCO_MAX_VERTICES:
-        raise DomainError(
-            f"capacity capped at m <= {RCO_MAX_VERTICES} vertices; this source has m = {m}"
-        )
     oracle = EntropyOracle(source)
     full = (1 << m) - 1
     H_V = oracle.entropy_mask(full)

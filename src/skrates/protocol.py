@@ -3,21 +3,25 @@
 A protocol at blocklength n lays out n*h(e) bits per edge (all integral),
 broadcasts XOR forms computable from the speaker's own edges, and names key
 bits as forms over all edge bits. Verification is dual-route: GF(2) rank
-tests (no size limit) and an optional exhaustive walk over every edge-bit
-assignment (capped), which must agree or the run aborts.
+tests (no size limit) and an optional exact histogram over all edge-bit
+assignments, by per-bit convolution (capped), which must agree or the run
+aborts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._kernel import joint_value_counts
 from .errors import ConsistencyError, DomainError
 from .gf2 import Basis
 from .packing import TreePacking, _pair
 from .source import HypergraphSource, RatePoint, weight_function
 
+# Caps N, the edge bits of an exhaustive check. The histogram it builds holds
+# at most 2^min(N, key bits + message bits) entries, about 85 bytes each on
+# CPython 3.11: 2^22 entries peak near 360 MB.
 EXHAUSTIVE_CAP_BITS = 24
 
 PERFECT = "perfect"
@@ -48,10 +52,13 @@ class LinearProtocol:
     n: int
     messages: tuple[tuple[str, int], ...]  # (speaker vertex, form bitmask)
     keys: tuple[int, ...]
+    _layout: tuple[dict[str, tuple[int, int]], int] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        layout, total = edge_layout(self.source, self.n)
-        full = (1 << total) - 1
+        object.__setattr__(self, "_layout", edge_layout(self.source, self.n))
+        full = (1 << self.total_bits) - 1
         for speaker, mask in self.messages:
             if mask < 0 or mask & ~full:
                 raise DomainError("message form touches unknown bits")
@@ -65,18 +72,17 @@ class LinearProtocol:
 
     @property
     def total_bits(self) -> int:
-        return edge_layout(self.source, self.n)[1]
+        return self._layout[1]
 
     def edge_bit(self, edge_id: str, k: int) -> int:
         """Bitmask of the k-th bit carried by an edge."""
-        layout, _ = edge_layout(self.source, self.n)
-        start, count = layout[edge_id]
+        start, count = self._layout[0][edge_id]
         if not 0 <= k < count:
             raise DomainError(f"edge {edge_id!r} carries {count} bits")
         return 1 << (start + k)
 
     def observe_mask(self, v: str) -> int:
-        layout, _ = edge_layout(self.source, self.n)
+        layout = self._layout[0]
         mask = 0
         for e in self.source.edges:
             if v in e.on:
@@ -176,6 +182,48 @@ def build_tree_protocol(
     return LinearProtocol(source, n, tuple(messages), tuple(keys))
 
 
+def joint_value_counts(key_masks, msg_masks, n_bits):
+    """Histogram of (key bits, transcript bits) over all 2^n_bits assignments.
+
+    Returns {v: count} for the packed value v = (key << len(msg_masks)) |
+    transcript, every assignment counted exactly once. Edge bit b toggles v
+    by its flip vector, the set of forms containing b, so the histogram is
+    the XOR convolution of one two-point distribution per bit. Bits with
+    equal flip vectors are grouped: c bits flipping by f give the values 0
+    and f, 2^(c-1) assignments each. The support is always the span of the
+    flip vectors seen so far, so the table never exceeds 2^rank entries.
+    """
+    if n_bits < 0:
+        raise ValueError("n_bits must be nonnegative")
+    forms = list(msg_masks) + list(key_masks)  # form i is bit i of v
+    flips = [0] * n_bits
+    for i, mask in enumerate(forms):
+        if mask < 0 or mask >> n_bits:
+            raise ValueError("form touches bits outside the assignment space")
+        while mask:
+            low = mask & -mask
+            flips[low.bit_length() - 1] |= 1 << i
+            mask ^= low
+    groups = Counter(flips)
+    groups.pop(0, None)
+    # Every factor 2^(c-1) and the 2^c of the zero flip vector scale all
+    # counts alike, so they are applied once, to the start value.
+    counts = {0: 1 << (n_bits - len(groups))}
+    for f in groups:
+        if f in counts:
+            # Each pair {v, v ^ f} is updated once, from the member without
+            # f's top bit. Only values change, so the iteration stays valid.
+            top = 1 << (f.bit_length() - 1)
+            for v, x in counts.items():
+                if not v & top:
+                    counts[v] = counts[v ^ f] = x + counts[v ^ f]
+        else:
+            # f lies outside the span, so the shifted copy is disjoint from it.
+            for v in list(counts):
+                counts[v ^ f] = counts[v]
+    return counts
+
+
 def verify_protocol(
     source: HypergraphSource,
     protocol: LinearProtocol,
@@ -184,9 +232,10 @@ def verify_protocol(
 ) -> SecrecyReport:
     """Check recoverability (per-vertex span) and perfect secrecy (rank).
 
-    With exhaustive=True additionally walks all 2^total assignments and
-    confirms the (K, F) histogram is uniform and independent; disagreement
-    with the rank verdict is a bug and raises ConsistencyError.
+    With exhaustive=True additionally builds the (K, F) histogram, an exact
+    histogram over all assignments, by per-bit convolution, and confirms it
+    is uniform and independent; disagreement with the rank verdict is a bug
+    and raises ConsistencyError.
     """
     if protocol.source != source:
         raise DomainError("protocol belongs to a different source")
@@ -219,10 +268,11 @@ def verify_protocol(
             )
         counts = joint_value_counts(list(protocol.keys), msg_masks, total)
         if sum(counts.values()) != 1 << total:
-            raise ConsistencyError("exhaustive walk lost assignments")
+            raise ConsistencyError("exhaustive histogram lost assignments")
+        fmask = (1 << len(msg_masks)) - 1
         by_f: dict[int, list[int]] = {}
-        for (kval, fval), count in counts.items():
-            by_f.setdefault(fval, []).append(count)
+        for value, count in counts.items():
+            by_f.setdefault(value & fmask, []).append(count)
         kcount = 1 << len(protocol.keys)
         uniform = all(
             len(group) == kcount and len(set(group)) == 1 for group in by_f.values()

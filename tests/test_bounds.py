@@ -26,7 +26,7 @@ from skrates.bounds import (
     tree_pin_region,
     weight_certificate,
 )
-from skrates.capacity import capacity
+from skrates.capacity import RCO_MAX_VERTICES, capacity
 from skrates.errors import DomainError
 from skrates.lp import INFEASIBLE, OPTIMAL, LinearProgram, solve
 from skrates.mmi import mmi, partition_info
@@ -168,6 +168,14 @@ class TestPinCurve:
         two = HypergraphSource.of(["1", "2"], [("a", ["1", "2"], 1)])
         with pytest.raises(DomainError):
             pin_capacity_curve(two, 1)
+
+    def test_complexity_keeps_the_capacity_cap(self):
+        m = RCO_MAX_VERTICES + 1
+        path = HypergraphSource.of(
+            [str(i) for i in range(m)], [(f"e{i}", [str(i), str(i + 1)], 1) for i in range(m - 1)]
+        )
+        with pytest.raises(DomainError, match=f"m <= {RCO_MAX_VERTICES}"):
+            pin_communication_complexity(path)
 
 
 class TestOuterCheck:

@@ -191,20 +191,20 @@ def test_analyze_triangle_matches_worked_values(capsys):
     assert payload["tree_pin"] is None
 
 
-def test_pure_python_backend_env():
-    env = dict(os.environ, SKRATES_PURE_PYTHON="1")
-    probe = subprocess.run(
-        [sys.executable, "-c", "import skrates; print(skrates.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert probe.stdout.strip() == "python"
-    sim = subprocess.run(
-        [sys.executable, "-m", "skrates.cli", "simulate", "--source", "motivating", "--exhaustive"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert sim.returncode == 0
-    assert json.loads(sim.stdout)["report"]["verdict"] == "perfect"
+def test_analyze_pin_runs_capacity_once(capsys, monkeypatch):
+    import skrates.bounds
+    import skrates.cli
+
+    _, expected, _ = run_cli(capsys, "analyze", "--source", "triangle")
+    original = skrates.cli.capacity
+    calls = []
+
+    def counted(source):
+        calls.append(source)
+        return original(source)
+
+    monkeypatch.setattr(skrates.cli, "capacity", counted)
+    monkeypatch.setattr(skrates.bounds, "capacity", counted)
+    code, out, _ = run_cli(capsys, "analyze", "--source", "triangle")
+    assert code == 0 and out == expected
+    assert len(calls) == 1

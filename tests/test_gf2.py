@@ -1,4 +1,4 @@
-"""Bit-matrix rank/span and the exhaustive kernel (both backends)."""
+"""Bit-matrix rank/span and the exhaustive histogram kernel."""
 
 import random
 
@@ -6,14 +6,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from oracles import brute_force_histogram
-from skrates import _exhaustive_py
-from skrates._kernel import BACKEND, joint_value_counts
+from skrates import BACKEND
 from skrates.gf2 import Basis, in_span, rank
+from skrates.protocol import joint_value_counts
 
-try:
-    from skrates import _exhaustive as compiled
-except ImportError:
-    compiled = None
+
+def decoded(keys, msgs, n):
+    """The packed histogram as {(key value, transcript value): count}."""
+    fb = len(msgs)
+    counts = joint_value_counts(keys, msgs, n)
+    return {(v >> fb, v & ((1 << fb) - 1)): c for v, c in counts.items()}
 
 
 def test_rank_basics():
@@ -48,46 +50,43 @@ def test_histogram_matches_bruteforce(seed):
     n = rng.randint(0, 10)
     keys = [rng.randrange(1 << n) for _ in range(rng.randint(0, 3))]
     msgs = [rng.randrange(1 << n) for _ in range(rng.randint(0, 4))]
-    expected = brute_force_histogram(keys, msgs, n)
-    assert joint_value_counts(keys, msgs, n) == expected
-    assert _exhaustive_py.joint_value_counts(keys, msgs, n) == expected
+    assert decoded(keys, msgs, n) == brute_force_histogram(keys, msgs, n)
 
 
-def test_dict_fallback_path_matches_dense():
-    # force the sparse-dict branch of the pure module with many forms
+@pytest.mark.parametrize(
+    "keys, msgs, n",
+    [
+        ([0b0001], [0b0011], 6),  # bits 2-5 touch no form
+        ([0b0011], [0b1100, 0b1111], 4),  # bits 0, 1 and bits 2, 3 flip alike
+        ([0b0101, 0b1010], [0b1111, 0b0110], 4),  # repeated and dependent flips
+        ([], [], 0),
+        ([], [], 3),
+        ([0b101], [], 3),
+        ([], [0b110, 0b011], 3),
+        ([0, 0], [0], 2),  # forms over no bit
+    ],
+)
+def test_histogram_edge_cases_match_bruteforce(keys, msgs, n):
+    assert decoded(keys, msgs, n) == brute_force_histogram(keys, msgs, n)
+
+
+def test_histogram_with_many_forms_matches_bruteforce():
+    # More forms (24) than bits, so the values span far fewer than 2^forms.
     rng = random.Random(42)
     n = 6
     keys = [rng.randrange(1, 1 << n) for _ in range(12)]
     msgs = [rng.randrange(1, 1 << n) for _ in range(12)]
-    old = _exhaustive_py.DENSE_VALUE_BITS
-    try:
-        _exhaustive_py.DENSE_VALUE_BITS = 0
-        sparse = _exhaustive_py.joint_value_counts(keys, msgs, n)
-    finally:
-        _exhaustive_py.DENSE_VALUE_BITS = old
-    assert sparse == brute_force_histogram(keys, msgs, n)
+    assert decoded(keys, msgs, n) == brute_force_histogram(keys, msgs, n)
 
 
 def test_out_of_range_mask_rejected():
     with pytest.raises(ValueError):
-        _exhaustive_py.joint_value_counts([0b100], [], 2)
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_backends_agree():
-    rng = random.Random(5)
-    for _ in range(8):
-        n = rng.randint(0, 14)
-        keys = [rng.randrange(1 << n) for _ in range(rng.randint(0, 3))]
-        msgs = [rng.randrange(1 << n) for _ in range(rng.randint(0, 5))]
-        assert compiled.joint_value_counts(keys, msgs, n) == _exhaustive_py.joint_value_counts(keys, msgs, n)
-
-
-@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
-def test_compiled_rejects_oversize():
+        joint_value_counts([0b100], [], 2)
     with pytest.raises(ValueError):
-        compiled.joint_value_counts([1] * 20, [1] * 20, 4)
+        joint_value_counts([], [-1], 2)
+    with pytest.raises(ValueError):
+        joint_value_counts([], [], -1)
 
 
 def test_backend_reported():
-    assert BACKEND in ("compiled", "python")
+    assert BACKEND == "python"

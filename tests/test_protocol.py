@@ -7,7 +7,7 @@ import pytest
 
 from oracles import random_connected_pin
 from skrates.bounds import outer_check
-from skrates.errors import DomainError
+from skrates.errors import ConsistencyError, DomainError
 from skrates.packing import TreePacking, max_packing, packing_to_rates
 from skrates.protocol import (
     LEAKY,
@@ -76,7 +76,50 @@ def test_key_broadcast_is_leaky(motivating):
     report = verify_protocol(motivating, proto, exhaustive=True)
     assert report.verdict == LEAKY
     assert report.key_equivocation_bits == 0
+    assert report.exhaustive_ran
     assert report.exhaustive_uniform is False
+
+
+def test_skewed_histogram_breaks_the_cross_check(triangle, monkeypatch):
+    import skrates.protocol
+
+    _, packing = max_packing(triangle)
+    proto = build_tree_protocol(triangle, packing, 2)
+    original = skrates.protocol.joint_value_counts
+
+    def skewed(keys, msgs, n_bits):
+        # move one assignment between two values; the total stays 2^N
+        counts = original(keys, msgs, n_bits)
+        a, b = sorted(counts)[:2]
+        counts[a] -= 1
+        counts[b] += 1
+        return counts
+
+    monkeypatch.setattr(skrates.protocol, "joint_value_counts", skewed)
+    with pytest.raises(ConsistencyError):
+        verify_protocol(triangle, proto, exhaustive=True)
+
+
+def test_layout_computed_once_per_protocol(triangle, monkeypatch):
+    import skrates.protocol
+
+    _, packing = max_packing(triangle)
+    proto = build_tree_protocol(triangle, packing, 2)
+    calls = []
+    original = skrates.protocol.edge_layout
+
+    def counted(source, n):
+        calls.append(n)
+        return original(source, n)
+
+    monkeypatch.setattr(skrates.protocol, "edge_layout", counted)
+    copy = LinearProtocol(triangle, 2, proto.messages, proto.keys)
+    assert len(calls) == 1
+    verify_protocol(triangle, copy, exhaustive=True)
+    assert copy.total_bits == 6 and copy.edge_bit("a", 1) == proto.edge_bit("a", 1)
+    assert len(calls) == 1
+    assert copy == proto and hash(copy) == hash(proto)
+    assert copy != LinearProtocol(triangle, 2, proto.messages, ())
 
 
 def test_unseen_key_is_unrecoverable(motivating):
