@@ -18,6 +18,7 @@ the PIN capacity curve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,8 +34,9 @@ from .source import (
     HypergraphSource,
     Partition,
     RatePoint,
-    enumerate_partitions,
+    enumerate_partitions,  # noqa: F401 (unused, but perfbench/skbench/trace.py counts it here)
     is_spanning_tree,
+    partition_masks,
     weight_function,
 )
 
@@ -116,12 +118,12 @@ class OuterRegionQuery:
 
 
 def partition_certificate(
-    source: HypergraphSource, B: Iterable[str], P: Partition, oracle: EntropyOracle | None = None
+    source: HypergraphSource, B: Iterable[str], P: Partition
 ) -> BoundCertificate:
     B = source.check_subset(B)
     if len(B) < 2:
         raise DomainError("partition bound needs |B| >= 2")
-    info = partition_info(source, B, P, oracle)
+    info = partition_info(source, B, P)
     return BoundCertificate("thm1", B, P, (Fraction(len(P) - 1), info), source.vertices)
 
 
@@ -223,48 +225,85 @@ def pin_communication_complexity(source: HypergraphSource) -> Fraction:
     return (source.m - 2) * mmi(source, source.vertices).value
 
 
-def _check_cap(source: HypergraphSource, max_vertices: int):
-    if source.m > max_vertices:
+def _scale(source: HypergraphSource) -> int:
+    """D, the lcm of the edge-entropy denominators, so every D H(Z_A) is an integer.
+
+    Every path to the sweep reads D first, so the certificate cap is checked here.
+    """
+    if source.m > OUTER_MAX_VERTICES:
         raise DomainError(
-            f"certificate enumeration capped at m <= {max_vertices} vertices"
+            f"certificate enumeration capped at m <= {OUTER_MAX_VERTICES} vertices; "
+            f"this source has m = {source.m}"
         )
+    return math.lcm(*(e.h.denominator for e in source.edges))
 
 
-def generate_certificates(
-    source: HypergraphSource, max_vertices: int = OUTER_MAX_VERTICES
-) -> Iterator[BoundCertificate]:
-    """Every thm1 certificate (B by size then lex, P in RGS order), then thm3."""
-    _check_cap(source, max_vertices)
-    yield from _certificate_list(source)
+def _sweep(source: HypergraphSource, D: int) -> Iterator[tuple]:
+    """The one enumeration of certificates, over vertex masks, in generate_certificates order.
 
-
-def _certificates(source: HypergraphSource) -> Iterator[BoundCertificate]:
-    """The one enumeration of (B, P) pairs, in generate_certificates order."""
+    With H[A] = D H(Z_A), yields (B, blocks, d) with d = sum_C H[C] - H[B]
+    for each thm1 pair, then (None, blocks, crossed) for each partition of V,
+    where crossed is the most blocks one edge meets (1 if there are no edges).
+    """
     oracle = EntropyOracle(source)
+    H = [int(D * oracle.entropy_mask(A)) for A in range(1 << source.m)]
     for size in range(2, source.m + 1):
-        for combo in combinations(source.vertices, size):
-            B = frozenset(combo)
-            for P in enumerate_partitions(B):
-                yield partition_certificate(source, B, P, oracle)
-    for P in enumerate_partitions(source.vertices):
-        yield weight_certificate(source, P)
+        for combo in combinations(range(source.m), size):
+            bits = [1 << i for i in combo]
+            B = sum(bits)
+            for blocks in partition_masks(bits):
+                d = sum(H[C] for C in blocks) - H[B]
+                if d < 0:
+                    raise ConsistencyError("negative divergence from a submodularity bug")
+                yield B, blocks, d
+    edges = {sum(1 << source.index(v) for v in e.on) for e in source.edges}
+    for blocks in partition_masks([1 << i for i in range(source.m)]):
+        yield None, blocks, max((sum(1 for C in blocks if C & e) for e in edges), default=1)
 
 
-@lru_cache(maxsize=32)
-def _certificate_list(source: HypergraphSource) -> tuple[BoundCertificate, ...]:
-    return tuple(_certificates(source))
+def _certificate(source: HypergraphSource, D: int, B: int | None, blocks, x: int):
+    """The certificate of one sweep item."""
+    vs = source.vertices
+    P = Partition.of_masks(vs, blocks)
+    k = len(blocks) - 1
+    if B is None:
+        return BoundCertificate("thm3", None, P, (Fraction(x - 1, k),), vs)
+    B = frozenset(v for i, v in enumerate(vs) if B >> i & 1)
+    return BoundCertificate("thm1", B, P, (Fraction(k), Fraction(x, D * k)), vs)
 
 
-def outer_check(
-    source: HypergraphSource, point: RatePoint, max_vertices: int = OUTER_MAX_VERTICES
-) -> OuterRegionQuery:
-    """Test a point against every certificate; collect all violations."""
+def generate_certificates(source: HypergraphSource) -> Iterator[BoundCertificate]:
+    """Every thm1 certificate (B by size then lex, P in RGS order), then thm3."""
+    D = _scale(source)
+    return (_certificate(source, D, *item) for item in _sweep(source, D))
+
+
+def outer_check(source: HypergraphSource, point: RatePoint) -> OuterRegionQuery:
+    """Test a point against every certificate; collect all violations.
+
+    Builds a certificate only for a violation: with k = |P| - 1, the sweep
+    item (B, blocks, x) violates iff x < limit[B, k], the integer form of
+    d < D (k r_K - r(V \\ B)) for thm1 and of (crossed - 1)(r_K + r(V)) < k r_K
+    for thm3.
+    """
     if set(point.r) != set(source.vertices):
         raise DomainError("rate point must assign a rate to every vertex")
+    m, r_K, D = source.m, point.r_K, _scale(source)
+    outside = [  # outside[A] = r(V \ A) for every vertex mask A
+        point.total(v for i, v in enumerate(source.vertices) if not A >> i & 1)
+        for A in range(1 << m)
+    ]
+    limit = {
+        (B, k): math.ceil(D * (k * r_K - outside[B]))
+        for B in range(1 << m)
+        for k in range(1, B.bit_count())
+    }
+    total = r_K + outside[0]
+    limit.update({(None, k): 1 + (math.ceil(k * r_K / total) if total else 0) for k in range(1, m)})
     violations = tuple(
-        cert
-        for cert in generate_certificates(source, max_vertices)
-        if cert.violated_by(point)
+        _certificate(source, D, B, blocks, x)
+        for B, blocks, x in _sweep(source, D)
+        if x < limit[B, len(blocks) - 1]
     )
     return OuterRegionQuery(point, VIOLATED if violations else FEASIBLE, violations)
 
@@ -284,31 +323,27 @@ def _lp_rows(source: HypergraphSource):
     alpha to r(V) >= beta r_K with beta = (1 - alpha) / alpha, are implied by
     the smallest alpha in (0, 1); alpha = 1 is vacuous. alpha = 0 gives
     -r_K >= 0, which the kept thm1 row for B = V at the same partition (no
-    edge crosses its blocks, so I_P = 0) already implies. Reads the uncached
-    generator: going through the cached list would keep every certificate
-    alive for the LP path too.
+    edge crosses its blocks, so I_P = 0) already implies.
     """
-    best: dict[tuple[frozenset, Fraction], BoundCertificate] = {}
-    weight = None  # smallest alpha in (0, 1)
-    for cert in _certificates(source):
-        if cert.kind == "thm1":
-            key = (cert.B, cert.data[0])
-            if key not in best or cert.data[1] < best[key].data[1]:
-                best[key] = cert
-        elif 0 < cert.data[0] < 1 and (weight is None or cert.data[0] < weight.data[0]):
-            weight = cert
-    ordered = sorted(best.values(), key=lambda c: (len(c.B), sorted(c.B), c.data[0]))
-    rows = [_lp_row(cert) for cert in ordered]
+    D = _scale(source)
+    best = {}  # (B, |P| - 1) -> item with the smallest d; keys first arrive in row order
+    weight = None  # (alpha, item) with the smallest alpha in (0, 1)
+    for item in _sweep(source, D):
+        B, blocks, x = item
+        k = len(blocks) - 1
+        if B is not None:
+            if (B, k) not in best or x < best[B, k][2]:
+                best[B, k] = item
+        elif 1 < x <= k and (weight is None or Fraction(x - 1, k) < weight[0]):
+            weight = Fraction(x - 1, k), item
+    rows = [_lp_row(_certificate(source, D, *item)) for item in best.values()]
     if weight is not None:
-        rows.append(_lp_row(weight, weight.data[0]))
+        rows.append(_lp_row(_certificate(source, D, *weight[1]), weight[0]))
     return tuple(rows)
 
 
-def outer_capacity_curve(
-    source: HypergraphSource, R: Fraction, max_vertices: int = OUTER_MAX_VERTICES
-) -> Fraction:
+def outer_capacity_curve(source: HypergraphSource, R: Fraction) -> Fraction:
     """Upper bound on C_S(R): max r_K over the outer region with r(V) <= R."""
-    _check_cap(source, max_vertices)
     R = Fraction(R)
     if R < 0:
         raise DomainError("discussion budget must be nonnegative")
@@ -322,9 +357,7 @@ def outer_capacity_curve(
     return sol.value
 
 
-def outer_curve_column(
-    source: HypergraphSource, grid: Sequence[Fraction], max_vertices: int = OUTER_MAX_VERTICES
-) -> list[Fraction]:
+def outer_curve_column(source: HypergraphSource, grid: Sequence[Fraction]) -> list[Fraction]:
     """outer_capacity_curve at every R of a strictly increasing grid, by chords.
 
     The curve is concave in R (an LP value in its right-hand side), so when
@@ -336,7 +369,7 @@ def outer_curve_column(
     values: list[Fraction | None] = [None] * len(grid)
 
     def solve_at(i):
-        values[i] = outer_capacity_curve(source, grid[i], max_vertices)
+        values[i] = outer_capacity_curve(source, grid[i])
 
     def fill(lo, hi):
         if hi - lo < 2:
@@ -358,15 +391,12 @@ def outer_curve_column(
     return values
 
 
-def outer_min_rate(
-    source: HypergraphSource, r_K: Fraction, max_vertices: int = OUTER_MAX_VERTICES
-) -> Fraction:
+def outer_min_rate(source: HypergraphSource, r_K: Fraction) -> Fraction:
     """Smallest r(V) the certificates allow at a fixed key rate.
 
     Raises DomainError if the outer region is empty at this r_K (key rate
     above every certificate's ceiling).
     """
-    _check_cap(source, max_vertices)
     r_K = Fraction(r_K)
     rows = []
     for row, rel, rhs in _lp_rows(source):

@@ -24,10 +24,10 @@ from typing import Sequence
 from .entropy import EntropyOracle
 from .errors import ConsistencyError, DomainError
 from .lp import OPTIMAL, LinearProgram, solve
-from .mmi import mmi
+from .mmi import MMI_MAX_VERTICES, mmi
 from .source import HypergraphSource, Partition
 
-RCO_MAX_VERTICES = 16
+RCO_MAX_VERTICES = MMI_MAX_VERTICES
 
 
 @dataclass(frozen=True)

@@ -28,16 +28,6 @@ from .source import HypergraphSource, RatePoint, load_source
 BUNDLED = ("motivating", "triangle", "three_user_hyper", "six_user_hyper", "tree_pin_4")
 
 
-def _max_vertices() -> int:
-    raw = os.environ.get("SKRATES_MAX_VERTICES")
-    if raw is None:
-        return bnd.OUTER_MAX_VERTICES
-    try:
-        return int(raw)
-    except ValueError:
-        raise SourceFormatError(f"SKRATES_MAX_VERTICES must be an integer, got {raw!r}")
-
-
 def read_source(path: str) -> HypergraphSource:
     """Read a source file; bare bundled names resolve to shipped examples."""
     name = path[:-5] if path.endswith(".json") else path
@@ -117,7 +107,7 @@ def cmd_bounds(args) -> int:
         point = RatePoint.from_json_dict(json.loads(args.point))
     except json.JSONDecodeError as exc:
         raise SourceFormatError(f"--point is not valid JSON: {exc}") from None
-    query = bnd.outer_check(source, point, max_vertices=_max_vertices())
+    query = bnd.outer_check(source, point)
     _emit(
         {
             "point": point.to_json_dict(),
@@ -136,7 +126,7 @@ def _curve_rows(source: HypergraphSource, r_max: Fraction, step: Fraction):
     while R <= r_max:
         grid.append(R)
         R += step
-    columns = [grid, bnd.outer_curve_column(source, grid, max_vertices=_max_vertices())]
+    columns = [grid, bnd.outer_curve_column(source, grid)]
     achievable = source.is_pin() and source.m >= 3
     if achievable:
         columns.append(bnd.pin_curve_column(source, grid))
@@ -229,12 +219,10 @@ def cmd_greedy(args) -> int:
 def cmd_analyze(args) -> int:
     source = read_source(args.source)
     report = capacity(source)
-    certs = list(bnd.generate_certificates(source, max_vertices=_max_vertices()))
-    counts = {
-        "thm1": sum(1 for c in certs if c.kind == "thm1"),
-        "thm3": sum(1 for c in certs if c.kind == "thm3"),
-        "vacuous": sum(1 for c in certs if c.vacuous),
-    }
+    counts = {"thm1": 0, "thm3": 0, "vacuous": 0}
+    for cert in bnd.generate_certificates(source):
+        counts[cert.kind] += 1
+        counts["vacuous"] += cert.vacuous
     out = {
         "vertices": list(source.vertices),
         "pin": source.is_pin(),

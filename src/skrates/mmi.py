@@ -16,6 +16,9 @@ from .entropy import EntropyOracle
 from .errors import ConsistencyError, DomainError
 from .source import HypergraphSource, Partition, enumerate_partitions
 
+# Also capacity()'s limit on m, since it runs mmi over V.
+MMI_MAX_VERTICES = 16
+
 
 @dataclass(frozen=True)
 class MmiResult:
@@ -60,15 +63,19 @@ def mmi(source: HypergraphSource, B: Iterable[str]) -> MmiResult:
     B = source.check_subset(B)
     if len(B) < 2:
         raise DomainError("MMI needs |B| >= 2")
+    if len(B) > MMI_MAX_VERTICES:
+        raise DomainError(f"MMI capped at |B| <= {MMI_MAX_VERTICES}; this set has |B| = {len(B)}")
     oracle = EntropyOracle(source)
-    partitions = list(enumerate_partitions(B))
-    scores = [partition_info(source, B, P, oracle) for P in partitions]
-
-    best = min(scores)
-    optimal = tuple(P for P, s in zip(partitions, scores) if s == best)
+    best, optimal = None, []
+    for P in enumerate_partitions(B):
+        score = partition_info(source, B, P, oracle)
+        if best is None or score < best:
+            best, optimal = score, [P]
+        elif score == best:
+            optimal.append(P)
     fundamental = optimal[0]
     for P in optimal[1:]:
         fundamental = fundamental.meet(P)
     if partition_info(source, B, fundamental, oracle) != best:
         raise ConsistencyError("meet of optimal partitions is not optimal")
-    return MmiResult(best, optimal, fundamental)
+    return MmiResult(best, tuple(optimal), fundamental)

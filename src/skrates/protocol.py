@@ -241,17 +241,13 @@ def verify_protocol(
         raise DomainError("protocol belongs to a different source")
     msg_masks = [m for _, m in protocol.messages]
 
+    # v recovers k iff k is in the span of its observed bits and the messages,
+    # that is, iff k's unobserved part is in the span of theirs.
     failed = []
     for v in source.vertices:
-        basis = Basis()
-        obs = protocol.observe_mask(v)
-        while obs:
-            low = obs & -obs
-            basis.add(low)
-            obs ^= low
-        for m in msg_masks:
-            basis.add(m)
-        if not all(basis.contains(k) for k in protocol.keys):
+        hidden = ~protocol.observe_mask(v)
+        basis = Basis(m & hidden for m in msg_masks)
+        if not all(basis.contains(k & hidden) for k in protocol.keys):
             failed.append(v)
 
     message_rank = Basis(msg_masks).rank

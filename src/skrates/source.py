@@ -207,6 +207,11 @@ class Partition:
         canon = tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0] if b else ""))
         return cls(canon)
 
+    @classmethod
+    def of_masks(cls, elems: Sequence[str], masks: Iterable[int]) -> "Partition":
+        """Blocks given as bitmasks over elems, which must be sorted."""
+        return cls(tuple(tuple(v for i, v in enumerate(elems) if mask >> i & 1) for mask in masks))
+
     @property
     def ground(self) -> frozenset[str]:
         return frozenset(v for b in self.blocks for v in b)
@@ -242,38 +247,37 @@ def singletons(B: Iterable[str]) -> Partition:
     return Partition.of([v] for v in B)
 
 
-def enumerate_partitions(B: Iterable[str]) -> Iterator[Partition]:
-    """Yield every partition of B into >= 2 blocks, once, in RGS order.
+def partition_masks(bits: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Block masks of every partition of the bits into >= 2 blocks, in RGS order.
 
-    Restricted growth strings a over the sorted elements of B: a[0] = 0 and
-    a[i] <= max(a[:i]) + 1, enumerated lexicographically. The all-zero string
-    (single block) is skipped.
+    Restricted growth strings: bit i joins each open block, lowest first, then
+    opens the next one, so blocks come ordered by their first bit.
     """
-    elems = sorted(frozenset(B))
-    n = len(elems)
-    if n < 2:
-        raise DomainError("partition enumeration needs |B| >= 2")
+    blocks = [bits[0]]
 
-    a = [0] * n
-    while True:
-        # advance to the next RGS (lexicographic successor)
-        i = n - 1
-        while i > 0:
-            if a[i] <= max(a[:i]):
-                a[i] += 1
-                for j in range(i + 1, n):
-                    a[j] = 0
-                break
-            a[i] = 0
-            i -= 1
-        if i == 0:
+    def grow(i):
+        if i == len(bits):
+            if len(blocks) >= 2:
+                yield tuple(blocks)
             return
-        nblocks = max(a) + 1
-        if nblocks >= 2:
-            blocks: list[list[str]] = [[] for _ in range(nblocks)]
-            for v, lbl in zip(elems, a):
-                blocks[lbl].append(v)
-            yield Partition.of(blocks)
+        for j in range(len(blocks)):
+            blocks[j] |= bits[i]
+            yield from grow(i + 1)
+            blocks[j] ^= bits[i]
+        blocks.append(bits[i])
+        yield from grow(i + 1)
+        blocks.pop()
+
+    return grow(1)
+
+
+def enumerate_partitions(B: Iterable[str]) -> Iterator[Partition]:
+    """Yield every partition of B into >= 2 blocks, once, in RGS order."""
+    elems = sorted(frozenset(B))
+    if len(elems) < 2:
+        raise DomainError("partition enumeration needs |B| >= 2")
+    for blocks in partition_masks([1 << i for i in range(len(elems))]):
+        yield Partition.of_masks(elems, blocks)
 
 
 @dataclass(frozen=True)

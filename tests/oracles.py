@@ -3,7 +3,8 @@
 Everything here recomputes expected values by a route different from the
 code under test: Bell numbers via the triangle recurrence, LP optima via
 exact vertex enumeration, histograms via direct parity evaluation, spanning
-tree counts via edge-subset counting.
+tree counts via edge-subset counting, key recovery via a basis of unit vectors
+and messages.
 """
 
 from __future__ import annotations
@@ -96,6 +97,22 @@ def brute_force_histogram(key_masks, msg_masks, n_bits):
             f |= (bin(x & mask).count("1") & 1) << i
         counts[(k, f)] = counts.get((k, f), 0) + 1
     return counts
+
+
+def recoverable_by_unit_vectors(protocol, v) -> list[bool]:
+    """Per key, whether v recovers it: the key lies in the span of v's
+    observed bits, as unit vectors, together with every message."""
+    from skrates.gf2 import Basis
+
+    basis = Basis()
+    obs = protocol.observe_mask(v)
+    while obs:
+        low = obs & -obs
+        basis.add(low)
+        obs ^= low
+    for _, mask in protocol.messages:
+        basis.add(mask)
+    return [basis.contains(k) for k in protocol.keys]
 
 
 def count_trees_by_subsets(vertices, pairs) -> int:

@@ -1,13 +1,17 @@
 """Converse certificates, the tree-PIN region, and outer aggregation."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from oracles import random_connected_pin, random_hypergraph, random_tree_pin
 from skrates.bounds import (
     FEASIBLE,
+    OUTER_MAX_VERTICES,
     VIOLATED,
     alpha,
     corollary_bound,
@@ -30,7 +34,13 @@ from skrates.capacity import RCO_MAX_VERTICES, capacity
 from skrates.errors import DomainError
 from skrates.lp import INFEASIBLE, OPTIMAL, LinearProgram, solve
 from skrates.mmi import mmi, partition_info
-from skrates.source import HypergraphSource, Partition, RatePoint, singletons
+from skrates.source import (
+    HypergraphSource,
+    Partition,
+    RatePoint,
+    enumerate_partitions,
+    singletons,
+)
 
 
 def pt(r_K, **rates):
@@ -195,15 +205,133 @@ class TestOuterCheck:
         with pytest.raises(DomainError):
             outer_check(triangle, pt(0, **{"1": 0}))
 
-    def test_cap(self, triangle):
-        with pytest.raises(DomainError):
-            outer_check(triangle, pt(0, **{"1": 0, "2": 0, "3": 0}), max_vertices=2)
+    def test_cap(self):
+        m = OUTER_MAX_VERTICES + 1
+        path = HypergraphSource.of(
+            [str(i) for i in range(m)], [(f"e{i}", [str(i), str(i + 1)], 1) for i in range(m - 1)]
+        )
+        point = RatePoint(Fraction(0), {v: Fraction(0) for v in path.vertices})
+        calls = (
+            lambda: outer_check(path, point),
+            lambda: next(generate_certificates(path)),
+            lambda: outer_capacity_curve(path, 1),
+            lambda: outer_min_rate(path, 0),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match=f"m <= {OUTER_MAX_VERTICES} .* m = {m}$"):
+                call()
+
+    def test_keeps_no_certificates_alive(self):
+        src = random_hypergraph(random.Random(8800), 8)
+        point = _random_point(random.Random(8801), src.vertices)
+        tracemalloc.start()
+        try:
+            outer_check(src, point)
+            gc.collect()
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000
+
+
+def _fractional_source(rng, m, pin):
+    """Random hypergraph or PIN whose entropies have denominators up to 11."""
+    vertices = [str(i + 1) for i in range(m)]
+    edges = []
+    for i in range(rng.randint(1, m + 2)):
+        on = rng.sample(vertices, 2 if pin else rng.randint(1, m))
+        edges.append((f"e{i}", on, Fraction(rng.randint(1, 12), rng.randint(1, 11))))
+    return HypergraphSource.of(vertices, edges)
+
+
+EDGE_CASE_SOURCES = {
+    "edgeless": HypergraphSource.of(["1", "2", "3", "4"], []),
+    "single-vertex edge": HypergraphSource.of(
+        ["1", "2", "3"],
+        [("a", ["2"], 2), ("b", ["1", "2", "3"], Fraction(1, 3)), ("c", ["1", "3"], Fraction(5, 7))],
+    ),
+    "parallel edges": HypergraphSource.of(
+        ["1", "2", "3", "4"],
+        [
+            ("a", ["1", "2"], 1),
+            ("b", ["1", "2"], Fraction(3, 2)),
+            ("c", ["2", "3", "4"], Fraction(2, 11)),
+            ("d", ["2", "3", "4"], Fraction(1, 3)),
+        ],
+    ),
+}
+
+
+def _reference_certificates(src):
+    """Every certificate by the Fraction route, in generate_certificates order."""
+    certs = [
+        partition_certificate(src, B, P)
+        for size in range(2, src.m + 1)
+        for B in combinations(src.vertices, size)
+        for P in enumerate_partitions(B)
+    ]
+    return certs + [weight_certificate(src, P) for P in enumerate_partitions(src.vertices)]
+
+
+def _boundary_point(rng, src, cert):
+    """A point with r(V \\ B) = k (r_K - I_P): on the certificate's boundary, not past it."""
+    k, info = cert.data
+    outside = [v for v in src.vertices if v not in cert.B]
+    r_K = info + (Fraction(rng.randint(0, 6), rng.choice([1, 2, 3, 7])) if outside else 0)
+    weights = {v: rng.randint(1, 3) for v in outside}
+    rates = {v: k * (r_K - info) * w / sum(weights.values()) for v, w in weights.items()}
+    rates.update((v, Fraction(rng.randint(0, 6), rng.choice([1, 5]))) for v in cert.B)
+    return RatePoint(r_K, rates)
+
+
+class TestSweepMatchesFractionRoute:
+    """outer_check's integer sweep reports the violations the Fraction route finds, in order."""
+
+    @staticmethod
+    def _check(src, points):
+        certs = _reference_certificates(src)
+        assert tuple(generate_certificates(src)) == tuple(certs)
+        for point in points:
+            expected = tuple(c for c in certs if c.violated_by(point))
+            query = outer_check(src, point)
+            assert query.violations == expected
+            assert query.verdict == (VIOLATED if expected else FEASIBLE)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_sources(self, seed):
+        rng = random.Random(9100 + seed)
+        m = 2 + seed % 5
+        src = _fractional_source(rng, m, pin=seed % 2 == 1)
+        points = [_random_point(rng, src.vertices, (1, 2, 3, 5, 7)) for _ in range(6)]
+        thm1 = [c for c in _reference_certificates(src) if c.kind == "thm1"]
+        points += [_boundary_point(rng, src, rng.choice(thm1)) for _ in range(6)]
+        self._check(src, points)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_CASE_SOURCES))
+    def test_edge_cases(self, name):
+        src = EDGE_CASE_SOURCES[name]
+        rng = random.Random(name)
+        thm1 = [c for c in _reference_certificates(src) if c.kind == "thm1"]
+        points = [_random_point(rng, src.vertices) for _ in range(6)]
+        points += [_boundary_point(rng, src, rng.choice(thm1)) for _ in range(6)]
+        self._check(src, points)
+
+    def test_boundary_is_not_a_violation(self):
+        rng = random.Random(9200)
+        src = _fractional_source(rng, 5, pin=False)
+        for cert in _reference_certificates(src)[::7]:
+            if cert.kind == "thm1":
+                point = _boundary_point(rng, src, cert)
+                assert cert.evaluate(point) == cert.rhs
+                assert cert not in outer_check(src, point).violations
 
 
 class TestCertificates:
     def test_rows_reproducible_by_independent_path(self, motivating, three_user_hyper):
         # re-derive each stored row element-by-element from (kind, B, P)
-        for src in (motivating, three_user_hyper):
+        rng = random.Random(9300)
+        fractional = [_fractional_source(rng, m, pin) for m in (3, 4, 5) for pin in (False, True)]
+        for src in [motivating, three_user_hyper, *fractional, *EDGE_CASE_SOURCES.values()]:
             for cert in generate_certificates(src):
                 if cert.kind == "thm1":
                     k = Fraction(len(cert.P) - 1)
@@ -233,9 +361,9 @@ def _random_sources(seed):
     return [random_hypergraph(rng, rng.randint(3, 6)), random_connected_pin(rng, rng.randint(3, 6))]
 
 
-def _random_point(rng, vertices):
+def _random_point(rng, vertices, denominators=(1, 2, 3)):
     def q():
-        return Fraction(rng.randint(0, 8), rng.choice([1, 2, 3]))
+        return Fraction(rng.randint(0, 8), rng.choice(denominators))
 
     return RatePoint(q(), {v: q() for v in vertices})
 

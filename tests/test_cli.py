@@ -1,6 +1,7 @@
 """CLI: exit codes, schema validity, determinism, format details."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -175,11 +176,55 @@ def test_byte_identical_output():
     assert runs[0] == runs[1] and runs[0]
 
 
-def test_max_vertices_env(capsys, monkeypatch):
-    monkeypatch.setenv("SKRATES_MAX_VERTICES", "2")
-    point = json.dumps({"r_K": "0", "r": {"1": "0", "2": "0", "3": "0"}})
-    code, _, err = run_cli(capsys, "bounds", "--source", "triangle", "--point", point)
-    assert code == 1 and "capped" in err
+def _path_source(tmp_path, m):
+    from skrates.source import HypergraphSource, dumps_source
+
+    vertices = [str(i) for i in range(m)]
+    edges = [(f"e{i}", [str(i), str(i + 1)], 1) for i in range(m - 1)]
+    p = tmp_path / f"path{m}.json"
+    p.write_text(dumps_source(HypergraphSource.of(vertices, edges)))
+    return str(p)
+
+
+def test_certificate_cap_names_the_source_size(capsys, tmp_path):
+    path = _path_source(tmp_path, 11)
+    point = json.dumps({"r_K": "0", "r": {str(i): "0" for i in range(11)}})
+    for argv in (
+        ["bounds", "--source", path, "--point", point],
+        ["curve", "--source", path, "--r-max", "1", "--step", "1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and not out
+        assert err == "error: certificate enumeration capped at m <= 10 vertices; this source has m = 11\n"
+
+
+def test_mmi_cap_names_the_set_size(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "mmi", "--source", _path_source(tmp_path, 17))
+    assert code == 1 and not out
+    assert err == "error: MMI capped at |B| <= 16; this set has |B| = 17\n"
+
+
+def test_analyze_streams_the_certificates(capsys, tmp_path):
+    import random
+    import tracemalloc
+
+    from oracles import bell_numbers, random_hypergraph
+    from skrates.source import dumps_source
+
+    p = tmp_path / "m8.json"
+    p.write_text(dumps_source(random_hypergraph(random.Random(8900), 8)))
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, "analyze", "--source", str(p))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    bell = bell_numbers(8)
+    pairs = sum(math.comb(8, size) * (bell[size] - 1) for size in range(2, 9))
+    counts = json.loads(out)["certificates"]
+    assert (counts["thm1"], counts["thm3"]) == (pairs, bell[8] - 1)
+    assert peak < 5_000_000, peak
 
 
 def test_analyze_triangle_matches_worked_values(capsys):

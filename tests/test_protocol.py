@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_connected_pin
+from oracles import random_connected_pin, recoverable_by_unit_vectors
 from skrates.bounds import outer_check
 from skrates.errors import ConsistencyError, DomainError
 from skrates.packing import TreePacking, max_packing, packing_to_rates
@@ -220,3 +220,25 @@ def test_rank_and_exhaustive_always_agree(motivating):
         report = verify_protocol(motivating, proto, exhaustive=True)
         secrecy_ok = report.joint_rank == report.message_rank + report.key_bits
         assert report.exhaustive_uniform == secrecy_ok
+
+
+def test_recovery_matches_unit_vector_route():
+    rng = random.Random(7100)
+    partial = 0
+    for _ in range(40):
+        src = random_connected_pin(rng, rng.randint(3, 5), max_weight=2)
+        empty = LinearProtocol(src, 1, (), ())
+        total = empty.total_bits
+        messages = []
+        for _ in range(rng.randint(0, 4)):
+            speaker = rng.choice(src.vertices)
+            mask = empty.observe_mask(speaker) & rng.getrandbits(total)
+            if mask:
+                messages.append((speaker, mask))
+        keys = tuple(rng.getrandbits(total) for _ in range(rng.randint(1, 3)))
+        proto = LinearProtocol(src, 1, tuple(messages), keys)
+        expected = {v: recoverable_by_unit_vectors(proto, v) for v in src.vertices}
+        report = verify_protocol(src, proto)
+        assert report.unrecoverable_at == tuple(v for v in src.vertices if not all(expected[v]))
+        partial += sum(any(got) and not all(got) for got in expected.values())
+    assert partial > 0, partial
