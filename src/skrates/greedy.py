@@ -40,9 +40,6 @@ class SetFunctionOracle:
             self._cache[key] = Fraction(self._evaluator(key))
         return self._cache[key]
 
-    def position(self, s: str) -> int:
-        return self._pos[s]
-
     def sort_key(self, B: frozenset) -> tuple:
         return tuple(sorted(self._pos[s] for s in B))
 

@@ -20,7 +20,6 @@ from .source import HypergraphSource, RatePoint, is_spanning_tree, weight_functi
 
 VERTEX_CAP = 10
 TREE_CAP = 10**5
-LEX_VARIABLE_CAP = 64
 
 Pair = tuple[str, str]
 
@@ -157,7 +156,7 @@ def max_packing(
             row = tuple(Fraction(int(p in tree)) for tree in classes)
             constraints.append((row, "<=", c(frozenset(p))))
         lp = LinearProgram.of([Fraction(1)] * len(classes), "max", constraints)
-        sol = solve(lp, lex=len(classes) <= LEX_VARIABLE_CAP)
+        sol = solve(lp)
         if sol.status != OPTIMAL:
             raise ConsistencyError(f"packing LP came back {sol.status}")
         entries = []

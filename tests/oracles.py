@@ -2,9 +2,9 @@
 
 Everything here recomputes expected values by a route different from the
 code under test: Bell numbers via the triangle recurrence, LP optima via
-exact vertex enumeration, histograms via direct parity evaluation, spanning
-tree counts via edge-subset counting, key recovery via a basis of unit vectors
-and messages.
+exact vertex enumeration or one re-solve per coordinate, histograms via
+direct parity evaluation, spanning tree counts via edge-subset counting, key
+recovery via a basis of unit vectors and messages.
 """
 
 from __future__ import annotations
@@ -47,11 +47,14 @@ def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]):
     return [a[i][n] for i in range(n)]
 
 
-def lp_by_vertex_enumeration(objective, sense, constraints):
+def lp_by_vertex_enumeration(objective, sense, constraints, point=False):
     """Exact optimum by enumerating basic points; needs a bounded optimum.
 
     Constraints are (row, rel, rhs) over x >= 0, as in skrates.lp. Intended
-    for small instances only (<= 4 variables or so).
+    for small instances only (<= 4 variables or so). With point=True returns
+    (value, x) with x the lexicographically smallest optimal vertex, which
+    over x >= 0 is the lexicographically smallest optimal point; None if
+    infeasible either way.
     """
     n = len(objective)
     rows = []
@@ -68,21 +71,45 @@ def lp_by_vertex_enumeration(objective, sense, constraints):
     def feasible(x):
         return all(sum(a * v for a, v in zip(row, x)) <= rhs for row, rhs in rows)
 
-    best = None
+    vertices = []
     for combo in combinations(range(len(rows)), n):
         sq = [rows[i][0] for i in combo]
         rhs = [rows[i][1] for i in combo]
         x = _solve_square(sq, rhs)
         if x is None or any(v < 0 for v in x) or not feasible(x):
             continue
-        val = sum(c * v for c, v in zip(objective, x))
-        if best is None:
-            best = val
-        elif sense == "min":
-            best = min(best, val)
-        else:
-            best = max(best, val)
-    return best
+        vertices.append((sum(c * v for c, v in zip(objective, x)), tuple(x)))
+    if not vertices:
+        return None
+    pick = min if sense == "min" else max
+    best = pick(val for val, _ in vertices)
+    if not point:
+        return best
+    return best, min(x for val, x in vertices if val == best)
+
+
+def lex_optimum_by_resolves(lp):
+    """Lexicographically smallest optimum by sequential refinement.
+
+    Fixes the optimal value, minimizes x_0 with skrates.lp.solve(lex=False),
+    fixes it, minimizes x_1, and so on: one fresh solve per coordinate, the
+    route skrates.lp took before it refined the optimum on one tableau.
+    """
+    from skrates.lp import OPTIMAL, LinearProgram, LpSolution, solve
+
+    sol = solve(lp, lex=False)
+    if sol.status != OPTIMAL:
+        return sol
+    n = len(lp.objective)
+    fixed = list(lp.constraints) + [(lp.objective, "==", sol.value)]
+    point = []
+    for j in range(n):
+        unit = tuple(int(k == j) for k in range(n))
+        step = solve(LinearProgram(unit, "min", fixed), lex=False)
+        assert step.status == OPTIMAL
+        point.append(step.value)
+        fixed.append((unit, "==", step.value))
+    return LpSolution(OPTIMAL, sol.value, tuple(point))
 
 
 def brute_force_histogram(key_masks, msg_masks, n_bits):

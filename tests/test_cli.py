@@ -118,6 +118,18 @@ def test_simulate_subcommand(capsys):
     assert payload["rates"]["r_K"] == "3/2"
 
 
+def test_exhaustive_cap_is_21_bits(capsys, tmp_path):
+    from skrates.source import HypergraphSource, dumps_source
+
+    for h, expected in ((21, 0), (22, 1)):
+        p = tmp_path / f"two{h}.json"
+        p.write_text(dumps_source(HypergraphSource.of(["1", "2"], [("a", ["1", "2"], h)])))
+        code, out, err = run_cli(capsys, "simulate", "--source", str(p), "--exhaustive")
+        assert code == expected
+    assert not out
+    assert err == "error: exhaustive check capped at 21 bits, protocol has 22\n"
+
+
 def test_simulate_bad_blocklength(capsys):
     code, _, err = run_cli(capsys, "simulate", "--source", "triangle", "--n", "1")
     assert code == 1

@@ -100,6 +100,28 @@ def test_skewed_histogram_breaks_the_cross_check(triangle, monkeypatch):
         verify_protocol(triangle, proto, exhaustive=True)
 
 
+def test_uneven_transcripts_break_the_cross_check(triangle, monkeypatch):
+    import skrates.protocol
+
+    _, packing = max_packing(triangle)
+    proto = build_tree_protocol(triangle, packing, 2)
+    original = skrates.protocol.joint_value_counts
+    key_shift = len(proto.messages)
+
+    def uneven(keys, msgs, n_bits):
+        # move all of transcript g's mass onto transcript f, key by key: each
+        # transcript left stays uniform over the keys and the total stays 2^N
+        counts = original(keys, msgs, n_bits)
+        f, g = sorted({v & ((1 << key_shift) - 1) for v in counts})[:2]
+        for k in range(1 << len(keys)):
+            counts[(k << key_shift) | f] += counts.pop((k << key_shift) | g)
+        return counts
+
+    monkeypatch.setattr(skrates.protocol, "joint_value_counts", uneven)
+    with pytest.raises(ConsistencyError):
+        verify_protocol(triangle, proto, exhaustive=True)
+
+
 def test_layout_computed_once_per_protocol(triangle, monkeypatch):
     import skrates.protocol
 
