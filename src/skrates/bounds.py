@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -313,8 +312,7 @@ def _lp_row(cert: BoundCertificate, scale: Fraction = Fraction(1)):
     return (tuple(c / scale for c in coefficients), ">=", cert.rhs / scale)
 
 
-@lru_cache(maxsize=128)
-def _lp_rows(source: HypergraphSource):
+def _lp_rows(source: HypergraphSource) -> list:
     """Non-vacuous certificate rows with dominated rows removed.
 
     Kept rows imply every dropped one over the nonnegative orthant, so LPs
@@ -339,56 +337,32 @@ def _lp_rows(source: HypergraphSource):
     rows = [_lp_row(_certificate(source, D, *item)) for item in best.values()]
     if weight is not None:
         rows.append(_lp_row(_certificate(source, D, *weight[1]), weight[0]))
-    return tuple(rows)
+    return rows
 
 
 def outer_capacity_curve(source: HypergraphSource, R: Fraction) -> Fraction:
     """Upper bound on C_S(R): max r_K over the outer region with r(V) <= R."""
-    R = Fraction(R)
-    if R < 0:
-        raise DomainError("discussion budget must be nonnegative")
-    rows = _lp_rows(source)
-    budget = (tuple([Fraction(0)] + [Fraction(1)] * source.m), "<=", R)
-    objective = [Fraction(1)] + [Fraction(0)] * source.m
-    lp = LinearProgram.of(objective, "max", list(rows) + [budget])
-    sol = solve(lp, lex=False)
-    if sol.status != OPTIMAL:
-        raise ConsistencyError(f"outer-curve LP came back {sol.status}")
-    return sol.value
+    return outer_curve_column(source, [R])[0]
 
 
 def outer_curve_column(source: HypergraphSource, grid: Sequence[Fraction]) -> list[Fraction]:
-    """outer_capacity_curve at every R of a strictly increasing grid, by chords.
+    """outer_capacity_curve at every R of a strictly increasing grid, from one LP.
 
-    The curve is concave in R (an LP value in its right-hand side), so when
-    the middle row of an interval lies on the chord between its ends the
-    curve is linear there and the rows inside are exact interpolations;
-    otherwise both halves are sampled the same way (Eisner and Severance,
-    1976).
+    Solves at the smallest R, then walks the budget row's rhs up the grid on
+    the same tableau; the budget is the last row, so its slack the last column.
     """
-    values: list[Fraction | None] = [None] * len(grid)
-
-    def solve_at(i):
-        values[i] = outer_capacity_curve(source, grid[i])
-
-    def fill(lo, hi):
-        if hi - lo < 2:
-            return
-        mid = (lo + hi) // 2
-        solve_at(mid)
-        slope = (values[hi] - values[lo]) / (grid[hi] - grid[lo])
-        if values[mid] != values[lo] + slope * (grid[mid] - grid[lo]):
-            fill(lo, mid)
-            fill(mid, hi)
-            return
-        for i in range(lo + 1, hi):
-            values[i] = values[lo] + slope * (grid[i] - grid[lo])
-
-    if grid:
-        solve_at(0)
-        solve_at(len(grid) - 1)
-        fill(0, len(grid) - 1)
-    return values
+    grid = [Fraction(R) for R in grid]
+    bad = [R for R in grid[:1] if R < 0] + [b for a, b in zip(grid, grid[1:]) if a >= b]
+    if bad:
+        raise DomainError(f"budgets must be nonnegative and strictly increasing; R = {bad[0]} is not")
+    if not grid:
+        return []
+    budget = (tuple([Fraction(0)] + [Fraction(1)] * source.m), "<=", grid[0])
+    objective = [Fraction(1)] + [Fraction(0)] * source.m
+    sol = solve(LinearProgram.of(objective, "max", _lp_rows(source) + [budget]), lex=False)
+    if sol.status != OPTIMAL:
+        raise ConsistencyError(f"outer-curve LP came back {sol.status}")
+    return sol.tableau.raise_rhs(len(sol.tableau.cost) - 2, grid[0], grid)
 
 
 def outer_min_rate(source: HypergraphSource, r_K: Fraction) -> Fraction:
@@ -398,9 +372,7 @@ def outer_min_rate(source: HypergraphSource, r_K: Fraction) -> Fraction:
     above every certificate's ceiling).
     """
     r_K = Fraction(r_K)
-    rows = []
-    for row, rel, rhs in _lp_rows(source):
-        rows.append((row[1:], rel, rhs - row[0] * r_K))
+    rows = [(row[1:], rel, rhs - row[0] * r_K) for row, rel, rhs in _lp_rows(source)]
     objective = [Fraction(1)] * source.m
     lp = LinearProgram.of(objective, "min", rows)
     sol = solve(lp, lex=False)

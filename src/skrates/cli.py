@@ -26,6 +26,7 @@ from .rationals import format_rational, parse_rational
 from .source import HypergraphSource, RatePoint, load_source
 
 BUNDLED = ("motivating", "triangle", "three_user_hyper", "six_user_hyper", "tree_pin_4")
+CURVE_MAX_ROWS = 10**5  # one such curve takes about 2 s and 70 MB
 
 
 def read_source(path: str) -> HypergraphSource:
@@ -121,36 +122,25 @@ def cmd_bounds(args) -> int:
 def _curve_rows(source: HypergraphSource, r_max: Fraction, step: Fraction):
     if step <= 0 or r_max < 0:
         raise DomainError("need --step > 0 and --r-max >= 0")
-    grid = []
-    R = Fraction(0)
-    while R <= r_max:
-        grid.append(R)
-        R += step
-    columns = [grid, bnd.outer_curve_column(source, grid)]
-    achievable = source.is_pin() and source.m >= 3
-    if achievable:
+    count = math.floor(r_max / step) + 1
+    if count > CURVE_MAX_ROWS:
+        raise DomainError(f"--r-max / --step gives {count} rows; the limit is {CURVE_MAX_ROWS}")
+    grid = [k * step for k in range(count)]
+    names, columns = ["R", "upper_bound"], [grid, bnd.outer_curve_column(source, grid)]
+    if source.is_pin() and source.m >= 3:
+        names.append("achievable")
         columns.append(bnd.pin_curve_column(source, grid))
-    return achievable, list(zip(*columns))
+    return names, list(zip(*columns))
 
 
 def cmd_curve(args) -> int:
     source = read_source(args.source)
-    achievable, rows = _curve_rows(source, parse_rational(args.r_max), parse_rational(args.step))
+    names, rows = _curve_rows(source, parse_rational(args.r_max), parse_rational(args.step))
     if args.output == "json":
-        _emit(
-            [
-                {
-                    "R": format_rational(r[0]),
-                    "upper_bound": format_rational(r[1]),
-                    **({"achievable": format_rational(r[2])} if achievable else {}),
-                }
-                for r in rows
-            ]
-        )
-        return 0
-    header = "R,upper_bound" + (",achievable" if achievable else "")
-    lines = [header] + [",".join(format_rational(q) for q in row) for row in rows]
-    sys.stdout.write("\n".join(lines) + "\n")
+        _emit([dict(zip(names, map(format_rational, row))) for row in rows])
+    else:
+        lines = [",".join(names)] + [",".join(map(format_rational, row)) for row in rows]
+        sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

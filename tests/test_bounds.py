@@ -400,12 +400,7 @@ class TestPruningKeepsFeasibleSet:
     @pytest.mark.parametrize("seed", (8020, 8041, 8052, "disconnected"))
     def test_outer_curve_and_min_rate(self, seed):
         if seed == "disconnected":
-            sources = [
-                HypergraphSource.of(
-                    ["1", "2", "3", "4"],
-                    [("a", ["1", "2"], 1), ("b", ["3", "4"], Fraction(3, 2)), ("c", ["4"], 1)],
-                )
-            ]
+            sources = [_disconnected()]
             assert any(c.kind == "thm3" and c.data[0] == 0 for c in generate_certificates(sources[0]))
         else:
             sources = _random_sources(seed)
@@ -430,8 +425,16 @@ class TestPruningKeepsFeasibleSet:
                     assert outer_min_rate(src, r_K) == sol.value
 
 
+def _disconnected():
+    """Two components, so C_S = 0 and a weight certificate has alpha = 0."""
+    return HypergraphSource.of(
+        ["1", "2", "3", "4"],
+        [("a", ["1", "2"], 1), ("b", ["3", "4"], Fraction(3, 2)), ("c", ["4"], 1)],
+    )
+
+
 class TestCurveColumns:
-    """Chord-sampled columns equal the row-by-row values."""
+    """Columns walked on one tableau equal the row-by-row values."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_outer_column_matches_row_by_row(self, seed):
@@ -446,6 +449,83 @@ class TestCurveColumns:
             expected = [outer_capacity_curve(src, R) for R in grid]
             assert outer_curve_column(src, grid) == expected
         assert outer_curve_column(src, []) == []
+
+    @pytest.mark.parametrize("m", range(3, 7))
+    def test_pin_columns_with_breakpoints_on_rows(self, m):
+        # a PIN's outer curve is min(R / (m - 2), C_S): linear up to its one
+        # breakpoint R_S = (m - 2) C_S, flat after it
+        rng = random.Random(8700 + m)
+        sources = [random_tree_pin(rng, m)]
+        if m < 6:  # the LPs of an m = 6 connected PIN take seconds
+            sources.append(random_connected_pin(rng, m))
+        for src in sources:
+            report = capacity(src)
+            R_S, R_CO = (m - 2) * report.C_S, report.R_CO
+            grids = [
+                [0],
+                [R_S],
+                [R_CO + 1],
+                [0, R_S],
+                [0, R_S / 3, R_S / 2, 2 * R_S / 3],  # collinear, below the breakpoint
+                sorted({R_S, R_S + Fraction(1, 3), R_CO + 1, R_CO + 2}),  # collinear, flat
+                sorted({0, R_S / 2, R_S, R_S + Fraction(1, 3), R_CO + 2}),
+            ]
+            oracle = {R: outer_capacity_curve(src, R) for R in set().union(*grids)}
+            for grid in grids:
+                column = outer_curve_column(src, grid)
+                assert column == [oracle[R] for R in grid]
+                assert column == [min(R / (m - 2), report.C_S) for R in grid]
+
+    @pytest.mark.parametrize("m", range(3, 7))
+    def test_hypergraph_columns_past_R_CO(self, m):
+        rng = random.Random(8800 + m)
+        src = random_hypergraph(rng, m, max_edges=m + 1)
+        R_CO = capacity(src).R_CO
+        rows = 24 if m < 6 else 6  # one m = 6 LP takes about 0.1 s
+        step = (R_CO + 1) / (rows - 1)
+        grid = [k * step for k in range(rows)]
+        expected = [outer_capacity_curve(src, R) for R in grid]
+        assert outer_curve_column(src, grid) == expected
+        assert expected[-1] == expected[-2] == capacity(src).C_S
+        for R, value in zip(grid[::5], expected[::5]):
+            assert outer_curve_column(src, [R]) == [value]
+
+    def test_disconnected_column_is_zero(self):
+        src = _disconnected()
+        for grid in ([0], [Fraction(1, 2)], [0, Fraction(1, 2), 2, 50]):
+            assert outer_curve_column(src, grid) == [0] * len(grid)
+
+    def test_outer_column_solves_one_lp(self, monkeypatch, triangle, six_user_hyper):
+        import skrates.bounds as bounds
+
+        calls = []
+        real = bounds.solve
+        monkeypatch.setattr(bounds, "solve", lambda *a, **k: calls.append(a) or real(*a, **k))
+        for src in (triangle, six_user_hyper):
+            for grid in ([0], [3], [Fraction(k, 3) for k in range(20)]):
+                calls.clear()
+                assert len(outer_curve_column(src, grid)) == len(grid)
+                assert len(calls) == 1
+        calls.clear()
+        assert outer_curve_column(triangle, []) == [] and calls == []
+
+    @pytest.mark.parametrize(
+        "grid",
+        (
+            [Fraction(5, 4), Fraction(7, 4), 3, 0],  # unsorted: once read 3 at R = 3, not 2
+            [0, 1, 1],
+            [0, 2, 1],
+            [-1],
+            [Fraction(-1, 2), 1],
+        ),
+    )
+    def test_outer_column_refuses_bad_grids(self, motivating, grid):
+        with pytest.raises(DomainError, match="nonnegative and strictly increasing"):
+            outer_curve_column(motivating, grid)
+
+    def test_outer_curve_refuses_negative_budget(self, triangle):
+        with pytest.raises(DomainError, match="nonnegative"):
+            outer_capacity_curve(triangle, Fraction(-1, 3))
 
     def test_pin_column_reads_capacity_once(self, monkeypatch, triangle):
         import skrates.bounds as bounds

@@ -95,6 +95,19 @@ def test_curve_non_pin_has_no_achievable_column(capsys):
     assert out.splitlines()[0] == "R,upper_bound"
 
 
+def test_curve_refuses_a_grid_over_the_row_cap(capsys, monkeypatch):
+    import skrates.cli
+
+    code, out, err = run_cli(capsys, "curve", "--source", "triangle", "--r-max", "1", "--step", "1/1000000000")
+    assert code == 1 and out == ""
+    assert "1000000001 rows" in err and str(skrates.cli.CURVE_MAX_ROWS) in err
+    monkeypatch.setattr(skrates.cli, "CURVE_MAX_ROWS", 3)
+    code, out, _ = run_cli(capsys, "curve", "--source", "triangle", "--r-max", "2", "--step", "1")
+    assert code == 0 and len(out.splitlines()) == 4
+    code, _, err = run_cli(capsys, "curve", "--source", "triangle", "--r-max", "3", "--step", "1")
+    assert code == 1 and "4 rows; the limit is 3" in err
+
+
 def test_pack_subcommand(capsys):
     code, out, _ = run_cli(capsys, "pack", "--source", "triangle")
     payload = json.loads(out)

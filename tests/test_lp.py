@@ -168,6 +168,62 @@ def test_direct_construction_normalizes_to_fractions():
         assert all(type(x) is Fraction for x in (sol.value, *sol.point))
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_raise_rhs_matches_fresh_solves(seed, monkeypatch):
+    # Raising one "<=" row's rhs on the final tableau must give what a fresh
+    # solve gives at each value. The objective pushes against the row, so the
+    # walk crosses breakpoints. Rows through the origin, duplicated rows and a
+    # zero objective (every reduced cost ties) make it degenerate.
+    import skrates.lp
+
+    rng = random.Random(6000 + seed)
+    while True:
+        n = rng.randint(2, 4)
+        constraints = _random_lp(rng, n) + _random_lp(rng, n)
+        if seed % 2:
+            constraints = [(row, rel, rhs * (rel == "<=") * (rhs > 0)) for row, rel, rhs in constraints]
+        if seed % 3 == 0:
+            constraints.append(rng.choice(constraints))
+        k = rng.randrange(len(constraints))
+        row = constraints[k][0]
+        # start the row at its least value over the other rows, where it is
+        # tight, and keep it only if that value has room to grow
+        others = constraints[:k] + constraints[k + 1 :]
+        low, high = (solve(LinearProgram(row, sense, others), lex=False) for sense in ("min", "max"))
+        if low.status != OPTIMAL or high.value == low.value:
+            continue
+        rhs = low.value + rng.choice([0, 0, Fraction(1, 2)])
+        constraints[k] = (row, "<=", rhs)
+        objective = [a * (seed % 4 != 0) + rng.randint(-1, 1) * (seed % 4 == 2) for a in row]
+        sol = solve(LinearProgram(objective, "max", constraints), lex=False)
+        if sol.status == OPTIMAL:
+            break
+    s = n + sum(rel != "==" for _, rel, _ in constraints[:k])
+    values = sorted({rhs + Fraction(rng.randint(0, 200), 2) for _ in range(12)} | {rhs})
+    pivots = 0
+    original = skrates.lp._pivot
+
+    def counted(*args):
+        nonlocal pivots
+        pivots += 1
+        assert pivots <= 3 * len(sol.tableau.cost), "the walk is cycling"
+        return original(*args)
+
+    monkeypatch.setattr(skrates.lp, "_pivot", counted)
+    walked = sol.tableau.raise_rhs(s, Fraction(rhs), values)
+    monkeypatch.undo()
+    for b, value in zip(values, walked, strict=True):
+        raised = constraints[:k] + [(row, "<=", b)] + constraints[k + 1 :]
+        fresh = solve(LinearProgram(objective, "max", raised), lex=False)
+        assert fresh.status == OPTIMAL and fresh.value == value
+
+
+def test_final_tableau_only_without_lex():
+    lp = LinearProgram.of([1, 1], "max", [((1, 1), "<=", 2)])
+    assert solve(lp).tableau is None
+    assert solve(lp, lex=False).tableau.raise_rhs(2, Fraction(2), [2, 5]) == [2, 5]
+
+
 def _captured_lps(module, run):
     """The LPs that `run()` hands to `module.solve`."""
     seen = []
